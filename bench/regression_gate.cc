@@ -11,8 +11,8 @@
 //    kMinRateRatio of the baseline. A 10x regression trips; scheduler
 //    noise does not.
 //  * Wall-clock raw seconds and machine facts (hardware_concurrency,
-//    grid_jobs, grid_serial_sec, grid_parallel_sec, grid_speedup,
-//    shard_threads, shard_speedup) are reported but never gate.
+//    grid_jobs, grid_serial_sec, grid_parallel_sec, grid_speedup) are
+//    reported but never gate.
 //  * trace_disabled_overhead_pct gates on an absolute ceiling: detached-
 //    tracer hooks must stay under kMaxTraceOverheadPct.
 //  * Interactive latency metrics (interactive_*_us) are pure simulated
@@ -143,7 +143,7 @@ bool EndsWith(const std::string& s, const char* suffix) {
   return s.size() >= n && s.compare(s.size() - n, n, suffix) == 0;
 }
 
-// Interactive pathological latencies (perf_selfcheck 2d): simulated, so
+// Interactive pathological latencies (perf_selfcheck 2c): simulated, so
 // deterministic, but gated on a growth ceiling — the metric's job is to
 // catch the latency mode widening, not to pin every nanosecond.
 bool IsInteractiveLatency(const std::string& key) {
@@ -151,12 +151,8 @@ bool IsInteractiveLatency(const std::string& key) {
 }
 
 bool IsIgnored(const std::string& key) {
-  // shard_threads and shard_speedup join the machine facts: both follow the
-  // runner's core count (the sharded *rate* is still gated by the generic
-  // _per_sec floor, and shard_results_identical by exact match).
   static const char* kIgnored[] = {"hardware_concurrency", "grid_jobs", "grid_serial_sec",
-                                   "grid_parallel_sec", "grid_speedup", "shard_threads",
-                                   "shard_speedup"};
+                                   "grid_parallel_sec", "grid_speedup"};
   for (const char* k : kIgnored) {
     if (key == k) {
       return true;
@@ -305,11 +301,6 @@ int SelfTest() {
       {"quick", "true"},
       {"hardware_concurrency", "8"},
       {"rpc_round_trips_per_sec", "100000"},
-      {"capacity_sharded_sim_events_per_sec", "2000000"},
-      {"shard_count", "4"},
-      {"shard_threads", "8"},
-      {"shard_speedup", "2.400"},
-      {"shard_results_identical", "true"},
       {"trace_disabled_overhead_pct", "1.50"},
       {"grid_results_identical", "true"},
       {"interactive_delack_p50_us", "202160.9"},
@@ -368,28 +359,6 @@ int SelfTest() {
   g_failures = 0;
   GatePerf(diverged, perf);
   expected += g_failures == 1 ? 0 : 1;
-
-  // A sharded-rate collapse past the floor must fail...
-  std::map<std::string, std::string> shard_slow = perf;
-  shard_slow["capacity_sharded_sim_events_per_sec"] = "1000";
-  g_failures = 0;
-  GatePerf(shard_slow, perf);
-  expected += g_failures == 1 ? 0 : 1;
-
-  // ...thread-count divergence in sharded results must fail...
-  std::map<std::string, std::string> shard_diverged = perf;
-  shard_diverged["shard_results_identical"] = "false";
-  g_failures = 0;
-  GatePerf(shard_diverged, perf);
-  expected += g_failures == 1 ? 0 : 1;
-
-  // ...but a different speedup on different hardware must not.
-  std::map<std::string, std::string> shard_other = perf;
-  shard_other["shard_threads"] = "1";
-  shard_other["shard_speedup"] = "0.900";
-  g_failures = 0;
-  GatePerf(shard_other, perf);
-  expected += g_failures == 0 ? 0 : 1;
 
   std::map<std::string, std::string> heavy = perf;
   heavy["trace_disabled_overhead_pct"] = "25.00";

@@ -90,8 +90,7 @@ void AtmSwitch::SwitchCell(int /*in_port*/, SimTime arrival, std::vector<uint8_t
   // output fiber after the fabric latency (the wire handles head-of-line
   // queueing when cells from several inputs converge on one output). A
   // buffered cell holds its VC's occupancy slot until its last bit leaves;
-  // the drain is scheduled on the switch's own simulator, which is also
-  // where serialization is accounted, so sharded runs stay deterministic.
+  // the drain is scheduled at the time the output wire reports.
   CellSink* sink = out.sink;
   Wire* wire = out.wire.get();
   const SimTime ready = arrival + per_cell_latency_;

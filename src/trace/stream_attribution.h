@@ -3,7 +3,7 @@
 // CausalGraph::Build + AttributeRtts hold the whole trace and every Journey
 // in memory — O(trace) — which is fine for an 8-flow cell and fatal for the
 // roadmap's 10^5-flow fabrics. This module fuses the two passes into one
-// incremental consumer: feed it the merged trace stream one event at a time
+// incremental consumer: feed it the trace stream one event at a time
 // (e.g. straight from a BinaryTraceReader) and it
 //
 //  * runs the same per-host chain state machines as CausalGraph::Build,
@@ -52,8 +52,8 @@ class StreamingAttribution {
  public:
   explicit StreamingAttribution(const AttributionOptions& options);
 
-  // Consumes the next event of the merged stream (global timestamp order,
-  // per-host chains contiguous — what Tracer/MergeBinaryShards produce).
+  // Consumes the next event of the stream (global timestamp order, per-host
+  // chains contiguous — what Tracer produces).
   void OnEvent(const TraceEvent& ev);
 
   // Closed windows, in close order (sort by (flow, start_ns) to compare

@@ -85,8 +85,6 @@ CapacityOutcome RunCapacityCell(const CapacityCell& cell, Tracer* tracer) {
   config.seed = cell.seed;
   config.tcp.header_prediction = cell.header_prediction;
   config.tcp.checksum = cell.checksum;
-  config.shards = cell.shards;
-  config.shard_threads = cell.shard_threads;
   StarTestbed testbed(config);
   if (tracer != nullptr) {
     testbed.AttachTracer(tracer);
@@ -114,8 +112,8 @@ CapacityOutcome RunCapacityCell(const CapacityCell& cell, Tracer* tracer) {
   out.completed = result.completed;
   out.aborted = result.aborted;
   out.max_concurrent = result.max_concurrent;
-  out.sim_elapsed = testbed.EndTime() - SimTime();
-  out.sim_events = testbed.EventsDispatched();
+  out.sim_elapsed = testbed.sim().Now() - SimTime();
+  out.sim_events = testbed.sim().events_dispatched();
   if (out.sim_elapsed.nanos() > 0) {
     // Each measured round trip echoes `size` bytes up and back down.
     const double bits =

@@ -59,8 +59,6 @@ CongestionOutcome RunCongestionCell(const CongestionCell& cell, Tracer* tracer) 
   config.clients = cell.flows;
   config.servers = 1;
   config.seed = cell.seed;
-  config.shards = cell.shards;
-  config.shard_threads = cell.shard_threads;
   config.propagation = GetLinkProfile(cell.profile).propagation;
   config.vc_buffers.buffer_cells = cell.buffer_cells;
   config.vc_buffers.policy = cell.policy;
@@ -146,12 +144,17 @@ CongestionOutcome RunCongestionCell(const CongestionCell& cell, Tracer* tracer) 
   out.cells_dropped_tail = sw->stats().cells_dropped_tail;
   out.cells_dropped_epd = sw->stats().cells_dropped_epd;
   out.cells_dropped_ppd = sw->stats().cells_dropped_ppd;
+  out.cells_switched = sw->stats().cells_switched;
+  out.cells_no_route = sw->stats().no_route;
+  for (int idx = 0; idx < testbed.host_count(); ++idx) {
+    out.adapter_cells_sent += testbed.adapter(idx).stats().cells_sent;
+  }
   if (out.cells_forwarded > 0) {
     out.efficiency = static_cast<double>(payload_total) /
                      static_cast<double>(out.cells_forwarded * kCellPayloadBytes);
   }
-  out.sim_elapsed = testbed.EndTime() - SimTime();
-  out.sim_events = testbed.EventsDispatched();
+  out.sim_elapsed = testbed.sim().Now() - SimTime();
+  out.sim_events = testbed.sim().events_dispatched();
   return out;
 }
 

@@ -49,8 +49,6 @@ struct CongestionCell {
   size_t rcvbuf = 32768;
   size_t mss_clamp = 1460;
   uint64_t seed = 1;
-  int shards = 0;
-  unsigned shard_threads = 0;
 };
 
 // Per-flow view for the tail-blame section: with one client host per flow,
@@ -91,6 +89,11 @@ struct CongestionOutcome {
   uint64_t cells_dropped_ppd = 0;
   uint64_t frames_discarded = 0;
   int64_t occupancy_hiwat = 0;  // max over the bottleneck VCs
+  // Whole-fabric cell conservation inputs: cells every adapter sent, and
+  // cells the switch forwarded or found no route for on any VC.
+  uint64_t adapter_cells_sent = 0;
+  uint64_t cells_switched = 0;
+  uint64_t cells_no_route = 0;
   SimDuration sim_elapsed;
   uint64_t sim_events = 0;
 };
@@ -107,7 +110,7 @@ CongestionOutcome RunCongestionCell(const CongestionCell& cell);
 CongestionOutcome RunCongestionCell(const CongestionCell& cell, Tracer* tracer);
 
 // Table formatting (simulated quantities only — byte-identical across
-// TCPLAT_JOBS and shard counts at a fixed seed).
+// TCPLAT_JOBS at a fixed seed).
 std::vector<std::string> CongestionHeader();
 std::vector<std::string> CongestionRow(const CongestionCell& cell,
                                        const CongestionOutcome& out);

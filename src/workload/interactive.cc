@@ -85,8 +85,6 @@ InteractiveOutcome RunInteractiveCell(const InteractiveCell& cell, Tracer* trace
   config.clients = std::min(cell.clients, cell.flows);
   config.servers = std::min(cell.servers, cell.flows);
   config.seed = cell.seed;
-  config.shards = cell.shards;
-  config.shard_threads = cell.shard_threads;
   if (cell.delack_timeout.nanos() > 0) {
     config.tcp.delack_timeout = cell.delack_timeout;
   }
@@ -133,8 +131,8 @@ InteractiveOutcome RunInteractiveCell(const InteractiveCell& cell, Tracer* trace
     out.fast_retransmits += stats.fast_retransmits;
   }
   out.drops_injected = policy.stats().dropped;
-  out.sim_elapsed = testbed.EndTime() - SimTime();
-  out.sim_events = testbed.EventsDispatched();
+  out.sim_elapsed = testbed.sim().Now() - SimTime();
+  out.sim_events = testbed.sim().events_dispatched();
   return out;
 }
 

@@ -1,11 +1,11 @@
 // Contract of the time-series telemetry plane (src/trace/timeseries.h and
 // its producers): timelines are a pure function of the seed — byte-identical
-// across repeat runs, shard counts, worker threads and TCPLAT_JOBS — edge
+// across repeat runs and TCPLAT_JOBS — edge
 // samples land exactly on the discontinuities they mark (summing kTcpRtoFire
 // edges reconstructs rexmt_stall_ns to the nanosecond, loss-enter/exit pairs
 // carry the exact peak and deflated window), mid-run TLBT disk spill
 // reproduces the unspilled stream byte for byte, and reservoir flow sampling
-// keeps the same bottom-K set no matter how the run was threaded. The bench
+// keeps the same bottom-K set run to run. The bench
 // self-checks (bench/congestion --timeline, bench/observability_selfcheck)
 // exercise the same paths at full scale; these tests pin the invariants on
 // cells small enough for the tier-1 suite.
@@ -65,31 +65,20 @@ bool IsClientHost(const TimelineRun& run, uint8_t host) {
          run.host_names[host].compare(0, 6, "client") == 0;
 }
 
-TEST(Timeseries, TimelineByteIdenticalAcrossShardsThreadsAndRepeats) {
+TEST(Timeseries, TimelineByteIdenticalAcrossRepeats) {
   for (const uint64_t seed : {uint64_t{1}, uint64_t{7}}) {
     CongestionCell cell = LossyCell();
     cell.seed = seed;
-    const TimelineRun serial = RunTimeline(cell);
-    ASSERT_FALSE(serial.csv.empty()) << "seed " << seed;
-    EXPECT_EQ(serial.csv, RunTimeline(cell).csv)
+    const TimelineRun first = RunTimeline(cell);
+    ASSERT_FALSE(first.csv.empty()) << "seed " << seed;
+    EXPECT_EQ(first.csv, RunTimeline(cell).csv)
         << "repeat run diverged, seed " << seed;
-
-    CongestionCell sharded = cell;
-    sharded.shards = 2;
-    EXPECT_EQ(serial.csv, RunTimeline(sharded).csv)
-        << "2-shard run diverged, seed " << seed;
-
-    sharded.shard_threads = 2;
-    EXPECT_EQ(serial.csv, RunTimeline(sharded).csv)
-        << "threaded 2-shard run diverged, seed " << seed;
   }
 }
 
 TEST(Timeseries, TimelineIgnoresTcplatJobs) {
-  // Sharded cell with the thread count left to TCPLAT_JOBS: the env var may
-  // change how many workers drive the shard engine, never the bytes.
+  // TCPLAT_JOBS sizes the grid executor only; it must never reach the bytes.
   CongestionCell cell = LossyCell();
-  cell.shards = 2;
   setenv("TCPLAT_JOBS", "1", 1);
   const std::string one_job = RunTimeline(cell).csv;
   setenv("TCPLAT_JOBS", "4", 1);
@@ -205,13 +194,10 @@ TEST(Timeseries, SpilledBinaryTraceMatchesResidentByteForByte) {
 }
 
 // Reservoir flow sampling (bottom-K over seeded per-flow hashes) keeps the
-// same flows and yields the same pruned event stream across repeat runs and
-// across shard-engine thread counts.
+// same flows and yields the same pruned event stream across repeat runs.
 TEST(Timeseries, ReservoirKeptSetAndCsvAreDeterministic) {
-  auto run_reservoir = [](unsigned shard_threads) {
+  auto run_reservoir = [] {
     CapacityCell cell = SmallCapacityCell();
-    cell.shards = 3;
-    cell.shard_threads = shard_threads;
     Tracer tracer;
     tracer.EnableFlowReservoir(3, cell.seed);
     RunCapacityCell(cell, &tracer);
@@ -221,17 +207,13 @@ TEST(Timeseries, ReservoirKeptSetAndCsvAreDeterministic) {
         tracer.ToCsv());
   };
 
-  const auto serial = run_reservoir(1);
-  EXPECT_EQ(serial.first.size(), 3u);
-  ASSERT_FALSE(serial.second.empty());
+  const auto first = run_reservoir();
+  EXPECT_EQ(first.first.size(), 3u);
+  ASSERT_FALSE(first.second.empty());
 
-  const auto repeat = run_reservoir(1);
-  EXPECT_EQ(serial.first, repeat.first);
-  EXPECT_EQ(serial.second, repeat.second);
-
-  const auto threaded = run_reservoir(4);
-  EXPECT_EQ(serial.first, threaded.first);
-  EXPECT_EQ(serial.second, threaded.second);
+  const auto repeat = run_reservoir();
+  EXPECT_EQ(first.first, repeat.first);
+  EXPECT_EQ(first.second, repeat.second);
 }
 
 }  // namespace
