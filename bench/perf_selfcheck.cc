@@ -112,18 +112,46 @@ RpcRate MeasureRpcRate(int iterations, Tracer* tracer = nullptr) {
 }
 
 // Tracing must cost nothing when off: every hook is a pointer test in
-// Host::TracePacket plus an `enabled_` test in the Tracer. Best-of-3 on
-// each side to shave scheduler noise; the acceptance bar is <= 2%.
-double MeasureTraceDisabledOverheadPct(int iterations) {
-  double base = 0;
-  double hooked = 0;
-  for (int rep = 0; rep < 3; ++rep) {
-    base = std::max(base, MeasureRpcRate(iterations).sim_events_per_sec);
-    Tracer tracer;
-    tracer.set_enabled(false);
-    hooked = std::max(hooked, MeasureRpcRate(iterations, &tracer).sim_events_per_sec);
+// Host::TracePacket plus an `enabled_` test in the Tracer. One wall-clock
+// A/B is noise-dominated, so the runs are interleaved: each of
+// kOverheadPairs pairs times the plain run and the detached-tracer run back
+// to back (alternating which goes first, so drift and warm-up do not favour
+// one side) and yields one overhead figure. The gate reads the median pair;
+// the quartiles show how far apart the pairs were.
+constexpr int kOverheadPairs = 11;
+
+struct OverheadSpread {
+  double median_pct = 0;
+  double q1_pct = 0;
+  double q3_pct = 0;
+};
+
+// Linear-interpolated quantile of `sorted` (ascending, non-empty).
+double Quantile(const std::vector<double>& sorted, double q) {
+  const double pos = q * static_cast<double>(sorted.size() - 1);
+  const size_t lo = static_cast<size_t>(pos);
+  const size_t hi = std::min(lo + 1, sorted.size() - 1);
+  return sorted[lo] + (sorted[hi] - sorted[lo]) * (pos - static_cast<double>(lo));
+}
+
+OverheadSpread MeasureTraceDisabledOverheadPct(int iterations) {
+  std::vector<double> pct;
+  for (int pair = 0; pair < kOverheadPairs; ++pair) {
+    double base = 0;
+    double hooked = 0;
+    for (int leg = 0; leg < 2; ++leg) {
+      if ((leg == 0) == (pair % 2 == 0)) {
+        base = MeasureRpcRate(iterations).sim_events_per_sec;
+      } else {
+        Tracer tracer;
+        tracer.set_enabled(false);
+        hooked = MeasureRpcRate(iterations, &tracer).sim_events_per_sec;
+      }
+    }
+    pct.push_back(100.0 * (base - hooked) / base);
   }
-  return 100.0 * (base - hooked) / base;
+  std::sort(pct.begin(), pct.end());
+  return {Quantile(pct, 0.5), Quantile(pct, 0.25), Quantile(pct, 0.75)};
 }
 
 // 2b. Multi-flow workload throughput: one 64-flow capacity cell (the
@@ -261,9 +289,11 @@ int Run(bool quick, const std::string& out_path) {
               rpc.round_trips_per_sec);
   std::printf("simulated events    : %12.0f events/sec (same run)\n", rpc.sim_events_per_sec);
 
-  const double trace_overhead = MeasureTraceDisabledOverheadPct(rpc_iters);
-  std::printf("tracer-off overhead : %12.2f %%         (hooks present, recording off)\n",
-              trace_overhead);
+  const OverheadSpread trace_overhead = MeasureTraceDisabledOverheadPct(rpc_iters);
+  std::printf("tracer-off overhead : %12.2f %%         (hooks present, recording off; median of "
+              "%d interleaved pairs, quartiles %.2f .. %.2f)\n",
+              trace_overhead.median_pct, kOverheadPairs, trace_overhead.q1_pct,
+              trace_overhead.q3_pct);
 
   const CapacityRate capacity = MeasureCapacityRate(quick);
   std::printf("capacity flows      : %12.0f flows/sec  (%d-flow star workload)\n",
@@ -316,7 +346,8 @@ int Run(bool quick, const std::string& out_path) {
                "  \"grid_results_identical\": %s\n"
                "}\n",
                quick ? "true" : "false", std::thread::hardware_concurrency(), dispatch_rate,
-               cancel_rate, rpc.round_trips_per_sec, rpc.sim_events_per_sec, trace_overhead,
+               cancel_rate, rpc.round_trips_per_sec, rpc.sim_events_per_sec,
+               trace_overhead.median_pct,
                capacity.flows, capacity.flows_per_sec, capacity.sim_events_per_sec,
                interactive.delack_p50_us, interactive.delack_p99_us,
                interactive.nodelay_p99_us, interactive.delackoff_p99_us,

@@ -16,6 +16,7 @@
 #ifndef SRC_ATM_AAL34_H_
 #define SRC_ATM_AAL34_H_
 
+#include <array>
 #include <cstdint>
 #include <optional>
 #include <span>
@@ -49,8 +50,11 @@ struct AtmCell {
   uint8_t sn = 0;     // 4-bit sequence number
   uint16_t mid = 0;   // 10-bit multiplexing id
   uint8_t li = 0;     // 6-bit length indicator (valid SAR payload bytes)
-  std::vector<uint8_t> payload;  // exactly kSarPayloadBytes
+  std::array<uint8_t, kSarPayloadBytes> payload{};
 };
+
+// A cell's 53-byte wire image, carried by value from hop to hop.
+using CellImage = std::array<uint8_t, kAtmCellBytes>;
 
 // Builds the CPCS-PDU envelope around a datagram.
 std::vector<uint8_t> BuildCpcsPdu(std::span<const uint8_t> payload, uint8_t btag);
@@ -65,7 +69,10 @@ std::optional<std::vector<uint8_t>> ParseCpcsPdu(std::span<const uint8_t> pdu,
 std::vector<AtmCell> SegmentCpcsPdu(std::span<const uint8_t> cpcs, uint16_t vci, uint16_t mid,
                                     uint8_t* sn);
 
-// Serializes one cell to its 53-byte wire image (computes CRC-10).
+// Encodes one cell as its 53-byte wire image (computes CRC-10).
+CellImage EncodeCell(const AtmCell& cell);
+
+// EncodeCell as a byte vector, for callers that want one.
 std::vector<uint8_t> SerializeCell(const AtmCell& cell);
 
 // Parses a 53-byte wire image. `crc_ok` reports the per-cell CRC-10 check

@@ -33,7 +33,7 @@ void AtmSwitch::AttachOutput(int port, CellSink* sink, double bits_per_second) {
   TCPLAT_CHECK(outputs_.find(port) == outputs_.end()) << "output port in use";
   OutputPort out;
   const double rate = bits_per_second > 0 ? bits_per_second : bits_per_second_;
-  out.wire = std::make_unique<Wire>(sim_, rate, propagation_);
+  out.wire = std::make_unique<Wire>(rate, propagation_);
   out.wire->set_impairment(output_impairment_);
   out.sink = sink;
   outputs_[port] = std::move(out);
@@ -59,56 +59,53 @@ void AtmSwitch::AddRoute(uint16_t vci, int out_port) {
   routes_[vci] = out_port;
 }
 
-void AtmSwitch::SwitchCell(int /*in_port*/, SimTime arrival, std::vector<uint8_t> wire_bytes) {
-  TCPLAT_CHECK_EQ(wire_bytes.size(), kAtmCellBytes);
-  const uint16_t vci = LoadBe16(&wire_bytes[1]);
+void AtmSwitch::SwitchCell(int /*in_port*/, SimTime arrival, const CellImage& cell) {
+  const uint16_t vci = LoadBe16(&cell[1]);
   auto route = routes_.find(vci);
   if (route == routes_.end()) {
     ++stats_.no_route;
     if (tracer_ != nullptr) {
       tracer_->RecordPacket(trace_id_, TraceLayer::kAtm, TraceEventKind::kDrop, arrival, vci,
-                            0, wire_bytes.size());
+                            0, cell.size());
     }
     return;
   }
-  OutputPort& out = outputs_.at(route->second);
+  OutputPort* out = &outputs_.at(route->second);
   const bool buffered = vc_config_.buffer_cells > 0;
-  if (buffered && !AdmitCell(vci, arrival, wire_bytes)) {
+  if (buffered && !AdmitCell(vci, arrival, cell)) {
     return;  // discarded by the VC buffer policy
   }
   ++stats_.cells_switched;
   if (tracer_ != nullptr) {
     tracer_->RecordPacket(trace_id_, TraceLayer::kAtm, TraceEventKind::kCellSwitch, arrival,
-                          vci, static_cast<uint64_t>(route->second), wire_bytes.size());
+                          vci, static_cast<uint64_t>(route->second), cell.size());
   }
 
+  CellImage switched = cell;
   if (fabric_corrupt_) {
-    fabric_corrupt_(wire_bytes);
+    fabric_corrupt_(switched);
   }
 
   // Hardware pipeline: no host CPU involved. The cell re-serializes on the
   // output fiber after the fabric latency (the wire handles head-of-line
-  // queueing when cells from several inputs converge on one output). A
-  // buffered cell holds its VC's occupancy slot until its last bit leaves;
-  // the drain is scheduled at the time the output wire reports.
-  CellSink* sink = out.sink;
-  Wire* wire = out.wire.get();
-  const SimTime ready = arrival + per_cell_latency_;
-  sim_->ScheduleAt(ready, [this, wire, sink, ready, vci, buffered,
-                           bytes = std::move(wire_bytes)]() mutable {
-    const SimTime done =
-        wire->Transmit(ready, std::move(bytes),
-                       [sink](SimTime t, std::vector<uint8_t> data) {
-                         sink->DeliverCell(t, std::move(data));
-                       });
-    if (buffered) {
-      sim_->ScheduleAt(done, [this, vci] {
-        VcState& vc = vc_states_[vci];
-        --vc.occupancy;
-        Sample(TsMetric::kVcOccupancy, vci, sim_->Now(), vc.occupancy);
-      });
-    }
+  // queueing when cells from several inputs converge on one output).
+  sim_->ScheduleAt(arrival + per_cell_latency_, [this, out, vci, buffered, switched] {
+    ForwardCell(out, vci, buffered, switched);
   });
+}
+
+void AtmSwitch::ForwardCell(OutputPort* out, uint16_t vci, bool buffered, CellImage cell) {
+  const WireFate fate = out->wire->Transmit(sim_->Now(), cell);
+  ScheduleCellArrivals(*sim_, out->sink, fate, cell);
+  if (buffered) {
+    // A buffered cell holds its VC's occupancy slot until its last bit
+    // leaves; the drain is scheduled at the time the output wire reports.
+    sim_->ScheduleAt(fate.departure, [this, vci] {
+      VcState& vc = vc_states_[vci];
+      --vc.occupancy;
+      Sample(TsMetric::kVcOccupancy, vci, sim_->Now(), vc.occupancy);
+    });
+  }
 }
 
 AtmSwitch::VcState& AtmSwitch::EnsureVc(uint16_t vci) {
@@ -130,12 +127,11 @@ AtmSwitch::VcState& AtmSwitch::EnsureVc(uint16_t vci) {
   return it->second;
 }
 
-bool AtmSwitch::AdmitCell(uint16_t vci, SimTime arrival,
-                          const std::vector<uint8_t>& wire_bytes) {
+bool AtmSwitch::AdmitCell(uint16_t vci, SimTime arrival, const CellImage& cell) {
   VcState& vc = EnsureVc(vci);
   // The AAL3/4 segment type rides in the top two bits of the SAR header
   // (wire byte 5); it is what lets the switch see frame boundaries.
-  const auto st = static_cast<SegmentType>(wire_bytes[5] >> 6);
+  const auto st = static_cast<SegmentType>(cell[5] >> 6);
   const bool frame_start = st == SegmentType::kBom || st == SegmentType::kSsm;
   const bool frame_end = st == SegmentType::kEom || st == SegmentType::kSsm;
   const DropPolicy policy = vc_config_.policy;
@@ -215,7 +211,7 @@ bool AtmSwitch::AdmitCell(uint16_t vci, SimTime arrival,
     }
     if (tracer_ != nullptr) {
       tracer_->RecordPacket(trace_id_, TraceLayer::kAtm, TraceEventKind::kDrop, arrival, vci,
-                            static_cast<uint64_t>(vc.occupancy), wire_bytes.size());
+                            static_cast<uint64_t>(vc.occupancy), cell.size());
     }
     Sample(TsMetric::kVcDropsCum, vci, arrival, static_cast<int64_t>(vc.cells_dropped));
     return false;

@@ -133,8 +133,8 @@ class AtmSwitch {
   class InputPort : public CellSink {
    public:
     InputPort(AtmSwitch* parent, int port) : parent_(parent), port_(port) {}
-    void DeliverCell(SimTime arrival, std::vector<uint8_t> wire_bytes) override {
-      parent_->SwitchCell(port_, arrival, std::move(wire_bytes));
+    void DeliverCell(SimTime arrival, const CellImage& cell) override {
+      parent_->SwitchCell(port_, arrival, cell);
     }
 
    private:
@@ -147,9 +147,11 @@ class AtmSwitch {
     CellSink* sink = nullptr;
   };
 
-  void SwitchCell(int in_port, SimTime arrival, std::vector<uint8_t> wire_bytes);
+  void SwitchCell(int in_port, SimTime arrival, const CellImage& cell);
+  // Re-serializes a switched cell onto `out`'s fiber at the current time.
+  void ForwardCell(OutputPort* out, uint16_t vci, bool buffered, CellImage cell);
   // Applies the per-VC buffer policy; false means the cell was discarded.
-  bool AdmitCell(uint16_t vci, SimTime arrival, const std::vector<uint8_t>& wire_bytes);
+  bool AdmitCell(uint16_t vci, SimTime arrival, const CellImage& cell);
   VcState& EnsureVc(uint16_t vci);
 
   // Timeseries pushes, keyed by VCI (the switch has no Host, so it feeds

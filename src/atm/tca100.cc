@@ -17,6 +17,13 @@ Tca100::Tca100(Host* host, Wire* tx_wire) : host_(host), tx_wire_(tx_wire) {
   }
 }
 
+void ScheduleCellArrivals(Simulator& sim, CellSink* sink, const WireFate& fate,
+                          const CellImage& cell) {
+  for (const SimTime arrival : fate.arrivals()) {
+    sim.ScheduleAt(arrival, [sink, arrival, cell] { sink->DeliverCell(arrival, cell); });
+  }
+}
+
 void Tca100::ConnectSink(CellSink* sink) {
   TCPLAT_CHECK(sink != nullptr);
   sink_ = sink;
@@ -28,7 +35,7 @@ void Tca100::TxCell(const AtmCell& cell) {
 
   if (!cut_through_) {
     cpu.Charge(cpu.profile().atm_tx_per_cell);
-    staged_tx_.push_back(SerializeCell(cell));
+    staged_tx_.push_back(EncodeCell(cell));
     ++stats_.cells_sent;
     return;
   }
@@ -53,58 +60,49 @@ void Tca100::TxCell(const AtmCell& cell) {
   // header words) into the FIFO.
   cpu.Charge(cpu.profile().atm_tx_per_cell);
 
-  std::vector<uint8_t> wire_bytes = SerializeCell(cell);
-  CellSink* sink = sink_;
-  const SimTime done = tx_wire_->Transmit(
-      cpu.cursor(), std::move(wire_bytes),
-      [sink](SimTime arrival, std::vector<uint8_t> data) {
-        sink->DeliverCell(arrival, std::move(data));
-      });
-  tx_fifo_drain_.push_back(done);
+  tx_fifo_drain_.push_back(SendImage(cpu.cursor(), EncodeCell(cell)));
   ++stats_.cells_sent;
 }
 
 void Tca100::TxCellDma(const AtmCell& cell) {
   TCPLAT_CHECK(sink_ != nullptr) << "adapter not connected";
-  CellSink* sink = sink_;
-  tx_wire_->Transmit(host_->cpu().cursor(), SerializeCell(cell),
-                     [sink](SimTime arrival, std::vector<uint8_t> data) {
-                       sink->DeliverCell(arrival, std::move(data));
-                     });
+  SendImage(host_->cpu().cursor(), EncodeCell(cell));
   ++stats_.cells_sent;
+}
+
+SimTime Tca100::SendImage(SimTime earliest, CellImage image) {
+  const WireFate fate = tx_wire_->Transmit(earliest, image);
+  ScheduleCellArrivals(host_->sim(), sink_, fate, image);
+  return fate.departure;
 }
 
 void Tca100::FlushTx() {
   if (cut_through_) {
     return;
   }
-  CellSink* sink = sink_;
   const SimTime start = host_->cpu().cursor();
-  for (auto& wire_bytes : staged_tx_) {
-    tx_wire_->Transmit(start, std::move(wire_bytes),
-                       [sink](SimTime arrival, std::vector<uint8_t> data) {
-                         sink->DeliverCell(arrival, std::move(data));
-                       });
+  for (const CellImage& image : staged_tx_) {
+    SendImage(start, image);
   }
   staged_tx_.clear();
 }
 
-void Tca100::DeliverCell(SimTime arrival, std::vector<uint8_t> wire_bytes) {
+void Tca100::DeliverCell(SimTime arrival, const CellImage& image) {
   ++stats_.cells_received;
   if (rx_fifo_.size() >= kTca100RxFifoCells) {
     ++stats_.rx_fifo_drops;
-    host_->TracePacket(TraceLayer::kAtm, TraceEventKind::kCellDrop, 0, 0, wire_bytes.size());
+    host_->TracePacket(TraceLayer::kAtm, TraceEventKind::kCellDrop, 0, 0, image.size());
     return;
   }
   RxEntry entry;
   entry.arrival = arrival;
   // The adapter validates the cell CRC-10 in hardware as it lands.
-  auto cell = ParseCell(wire_bytes, &entry.crc_ok);
+  const std::optional<AtmCell> cell = ParseCell(image, &entry.crc_ok);
   TCPLAT_CHECK(cell.has_value()) << "malformed cell size on wire";
-  entry.cell = std::move(*cell);
+  entry.cell = *cell;
   const bool last_of_pdu =
       entry.cell.st == SegmentType::kEom || entry.cell.st == SegmentType::kSsm;
-  rx_fifo_.push_back(std::move(entry));
+  rx_fifo_.push_back(entry);
   if (last_of_pdu && rx_interrupt_) {
     host_->RunAsInterrupt(rx_interrupt_);
   }
@@ -115,7 +113,7 @@ bool Tca100::PopRxCell(RxEntry* out) {
   if (rx_fifo_.empty()) {
     return false;
   }
-  *out = std::move(rx_fifo_.front());
+  *out = rx_fifo_.front();
   rx_fifo_.pop_front();
   return true;
 }

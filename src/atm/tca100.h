@@ -19,12 +19,13 @@
 #ifndef SRC_ATM_TCA100_H_
 #define SRC_ATM_TCA100_H_
 
+#include <array>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <vector>
 
 #include "src/atm/aal34.h"
+#include "src/base/check.h"
 #include "src/link/wire.h"
 #include "src/os/host.h"
 
@@ -39,7 +40,37 @@ inline constexpr double kTaxiBitsPerSecond = 140e6;
 class CellSink {
  public:
   virtual ~CellSink() = default;
-  virtual void DeliverCell(SimTime arrival, std::vector<uint8_t> wire_bytes) = 0;
+  virtual void DeliverCell(SimTime arrival, const CellImage& cell) = 0;
+};
+
+// Schedules `sink`'s receipt of each copy of `cell` that survived the wire,
+// at the arrival times in `fate`. The event carries the 53 bytes inline.
+void ScheduleCellArrivals(Simulator& sim, CellSink* sink, const WireFate& fate,
+                          const CellImage& cell);
+
+// A first-in first-out queue of at most N entries in fixed storage: the
+// adapter's FIFOs are hardware of fixed depth, and cycling cells through
+// them allocates nothing.
+template <typename T, size_t N>
+class FixedFifo {
+ public:
+  bool empty() const { return size_ == 0; }
+  size_t size() const { return size_; }
+  T& front() { return slots_[head_]; }
+  void push_back(const T& v) {
+    TCPLAT_CHECK_LT(size_, N) << "fixed FIFO overflow";
+    slots_[(head_ + size_) % N] = v;
+    ++size_;
+  }
+  void pop_front() {
+    head_ = (head_ + 1) % N;
+    --size_;
+  }
+
+ private:
+  std::array<T, N> slots_{};
+  size_t head_ = 0;
+  size_t size_ = 0;
 };
 
 struct Tca100Stats {
@@ -66,7 +97,7 @@ class Tca100 : public CellSink {
   void ConnectPeer(Tca100* peer) { ConnectSink(peer); }
 
   // CellSink: a cell arrives at this adapter's receive FIFO.
-  void DeliverCell(SimTime arrival, std::vector<uint8_t> wire_bytes) override;
+  void DeliverCell(SimTime arrival, const CellImage& cell) override;
 
   // Cut-through (the real TCA-100 behavior, default) starts serializing a
   // cell onto the fiber the moment the driver writes it. Store-and-forward
@@ -109,12 +140,15 @@ class Tca100 : public CellSink {
   CellSink* sink_ = nullptr;
   std::function<void()> rx_interrupt_;
 
+  // Hands one encoded cell to the fiber; returns its departure time.
+  SimTime SendImage(SimTime earliest, CellImage image);
+
   // Completion (serialization-finished) times of cells occupying the TX
   // FIFO; entries older than the CPU cursor have drained.
-  std::deque<SimTime> tx_fifo_drain_;
-  std::deque<RxEntry> rx_fifo_;
+  FixedFifo<SimTime, kTca100TxFifoCells> tx_fifo_drain_;
+  FixedFifo<RxEntry, kTca100RxFifoCells> rx_fifo_;
   bool cut_through_ = true;
-  std::vector<std::vector<uint8_t>> staged_tx_;  // store-and-forward mode
+  std::vector<CellImage> staged_tx_;  // store-and-forward mode
   Tca100Stats stats_;
 };
 

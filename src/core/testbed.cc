@@ -9,7 +9,7 @@ Testbed::Testbed(TestbedConfig config) : config_(std::move(config)), sim_(config
   server_ip_ = std::make_unique<IpStack>(server_host_.get(), kServerAddr);
 
   if (config_.network == NetworkKind::kAtm) {
-    atm_link_ = std::make_unique<DuplexLink>(&sim_, kTaxiBitsPerSecond, config_.propagation);
+    atm_link_ = std::make_unique<DuplexLink>(kTaxiBitsPerSecond, config_.propagation);
     client_adapter_ = std::make_unique<Tca100>(client_host_.get(), &atm_link_->dir(0));
     server_adapter_ = std::make_unique<Tca100>(server_host_.get(), &atm_link_->dir(1));
     uint16_t client_vci = 42;

@@ -10,7 +10,9 @@
 namespace tcplat {
 
 EtherSegment::EtherSegment(Simulator* sim, SimDuration propagation)
-    : bus_(sim, kEtherBitsPerSecond, propagation, kEtherPreambleBytes + kEtherIfgBytes) {}
+    : sim_(sim), bus_(kEtherBitsPerSecond, propagation, kEtherPreambleBytes + kEtherIfgBytes) {
+  TCPLAT_CHECK(sim != nullptr);
+}
 
 void EtherSegment::Attach(EtherNetIf* station) {
   TCPLAT_CHECK(station != nullptr);
@@ -18,17 +20,22 @@ void EtherSegment::Attach(EtherNetIf* station) {
 }
 
 SimTime EtherSegment::Transmit(SimTime earliest, std::vector<uint8_t> frame) {
-  auto stations = stations_;  // stable copy for the delivery lambda
-  return bus_.Transmit(earliest, std::move(frame),
-                       [stations](SimTime arrival, std::vector<uint8_t> data) {
-                         for (size_t i = 0; i < stations.size(); ++i) {
-                           if (i + 1 == stations.size()) {
-                             stations[i]->OnFrameArrival(arrival, std::move(data));
-                           } else {
-                             stations[i]->OnFrameArrival(arrival, data);
-                           }
-                         }
-                       });
+  const WireFate fate = bus_.Transmit(earliest, frame);
+  const size_t stations = stations_.size();
+  for (uint8_t i = 0; i < fate.copies; ++i) {
+    const SimTime arrival = fate.arrival[i];
+    std::vector<uint8_t> copy = i + 1 == fate.copies ? std::move(frame) : frame;
+    sim_->ScheduleAt(arrival, [this, arrival, stations, copy = std::move(copy)] {
+      Deliver(arrival, stations, copy);
+    });
+  }
+  return fate.departure;
+}
+
+void EtherSegment::Deliver(SimTime arrival, size_t stations, std::span<const uint8_t> frame) {
+  for (size_t i = 0; i < stations; ++i) {
+    stations_[i]->OnFrameArrival(arrival, frame);
+  }
 }
 
 EtherNetIf::EtherNetIf(IpStack* ip, Host* host, EtherSegment* segment, MacAddr mac)
@@ -124,7 +131,7 @@ void EtherNetIf::Output(MbufPtr packet, Ipv4Addr next_hop) {
   host_->tracker().AddInterval(SpanId::kTxDriver, host_->cpu().cursor() - t0);
 }
 
-void EtherNetIf::OnFrameArrival(SimTime arrival, std::vector<uint8_t> frame) {
+void EtherNetIf::OnFrameArrival(SimTime arrival, std::span<const uint8_t> frame) {
   if (frame.size() < kEtherHeaderBytes + kEtherMinPayload + kEtherCrcBytes) {
     ++stats_.too_short;
     host_->TracePacket(TraceLayer::kEther, TraceEventKind::kDrop, 0, 0, frame.size());
@@ -150,7 +157,7 @@ void EtherNetIf::OnFrameArrival(SimTime arrival, std::vector<uint8_t> frame) {
                        frame.size());
     return;
   }
-  host_->RunAsInterrupt([this, arrival, &frame] { RxInterrupt(arrival, std::move(frame)); });
+  host_->RunAsInterrupt([this, arrival, frame] { RxInterrupt(arrival, frame); });
 }
 
 void EtherNetIf::HandleArp(std::span<const uint8_t> payload) {
@@ -191,7 +198,7 @@ void EtherNetIf::HandleArp(std::span<const uint8_t> payload) {
   }
 }
 
-void EtherNetIf::RxInterrupt(SimTime arrival, std::vector<uint8_t> frame) {
+void EtherNetIf::RxInterrupt(SimTime arrival, std::span<const uint8_t> frame) {
   Cpu& cpu = host_->cpu();
   ScopedSpan mute(&host_->tracker(), SpanId::kMuted);
   cpu.Charge(cpu.profile().ether_rx, frame.size());

@@ -46,7 +46,8 @@ class EtherSegment {
   void Attach(EtherNetIf* station);
 
   // Serializes a frame onto the bus (preamble + IFG included as gap bytes)
-  // and delivers it to every attached station.
+  // and delivers it to every station attached at transmit time. Returns
+  // the time the last bit leaves.
   SimTime Transmit(SimTime earliest, std::vector<uint8_t> frame);
 
   void set_corrupt_hook(CorruptFn hook) { bus_.set_corrupt_hook(std::move(hook)); }
@@ -56,7 +57,13 @@ class EtherSegment {
   uint64_t frames_dropped() const { return bus_.units_dropped(); }
 
  private:
-  SharedBus bus_;
+  // Hands one arrived frame to the first `stations` attached stations.
+  void Deliver(SimTime arrival, size_t stations, std::span<const uint8_t> frame);
+
+  Simulator* sim_;
+  // The half-duplex medium: every station contends for this one
+  // serializer. Collisions are not modeled.
+  Wire bus_;
   std::vector<EtherNetIf*> stations_;
 };
 
@@ -89,8 +96,8 @@ class EtherNetIf : public NetIf {
 
  private:
   friend class EtherSegment;
-  void OnFrameArrival(SimTime arrival, std::vector<uint8_t> frame);
-  void RxInterrupt(SimTime arrival, std::vector<uint8_t> frame);
+  void OnFrameArrival(SimTime arrival, std::span<const uint8_t> frame);
+  void RxInterrupt(SimTime arrival, std::span<const uint8_t> frame);
   void HandleArp(std::span<const uint8_t> payload);
 
   // Builds header + payload (padded) + FCS and puts it on the bus,

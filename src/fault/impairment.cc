@@ -28,7 +28,7 @@ ImpairmentPolicy::ImpairmentPolicy(const ImpairmentConfig& config)
 }
 
 LinkImpairment::Verdict ImpairmentPolicy::OnTransmit(SimTime departure,
-                                                     const std::vector<uint8_t>& data) {
+                                                     std::span<const uint8_t> data) {
   ++stats_.offered;
   stats_.bytes_offered += data.size();
 

@@ -3,8 +3,8 @@
 // The paper's §4.2.1 argument for eliminating the TCP checksum rests on the
 // local ATM link being nearly error-free; the testbed never exercises the
 // regime where TCP's recovery machinery earns its keep. An ImpairmentPolicy
-// makes that regime reachable: attached to a Wire (or SharedBus, DuplexLink
-// direction, or ATM switch output) it applies deterministic, seeded cell or
+// makes that regime reachable: attached to a Wire (an Ethernet segment, a
+// DuplexLink direction, or an ATM switch output) it applies deterministic, seeded cell or
 // frame loss — uniform or Gilbert-Elliott bursty — plus duplication,
 // reorder-by-delay, and uniform jitter. Every decision comes from the
 // policy's own xoshiro stream, so a fixed seed reproduces the exact drop
@@ -84,7 +84,7 @@ class ImpairmentPolicy : public LinkImpairment {
   explicit ImpairmentPolicy(const ImpairmentConfig& config);
 
   // LinkImpairment.
-  Verdict OnTransmit(SimTime departure, const std::vector<uint8_t>& data) override;
+  Verdict OnTransmit(SimTime departure, std::span<const uint8_t> data) override;
 
   const ImpairmentConfig& config() const { return config_; }
   const ImpairmentStats& stats() const { return stats_; }

@@ -6,7 +6,7 @@
 namespace tcplat {
 namespace {
 
-void FlipRandomBits(Rng& rng, std::vector<uint8_t>& data, size_t lo, size_t hi, int bits) {
+void FlipRandomBits(Rng& rng, std::span<uint8_t> data, size_t lo, size_t hi, int bits) {
   for (int i = 0; i < bits; ++i) {
     const size_t byte = lo + static_cast<size_t>(rng.NextBelow(hi - lo));
     const int bit = static_cast<int>(rng.NextBelow(8));
@@ -19,7 +19,7 @@ void FlipRandomBits(Rng& rng, std::vector<uint8_t>& data, size_t lo, size_t hi, 
 CorruptFn MakeCellBitFlipper(std::shared_ptr<Rng> rng, std::shared_ptr<InjectionCounter> counter,
                              double prob, int bits) {
   return [rng = std::move(rng), counter = std::move(counter), prob,
-          bits](std::vector<uint8_t>& data) {
+          bits](std::span<uint8_t> data) {
     if (data.size() != kAtmCellBytes || !rng->NextBool(prob)) {
       return;
     }
@@ -31,7 +31,7 @@ CorruptFn MakeCellBitFlipper(std::shared_ptr<Rng> rng, std::shared_ptr<Injection
 CorruptFn MakeFrameBitFlipper(std::shared_ptr<Rng> rng,
                               std::shared_ptr<InjectionCounter> counter, double prob, int bits) {
   return [rng = std::move(rng), counter = std::move(counter), prob,
-          bits](std::vector<uint8_t>& data) {
+          bits](std::span<uint8_t> data) {
     if (data.empty() || !rng->NextBool(prob)) {
       return;
     }
@@ -46,7 +46,7 @@ CorruptFn MakeCrc10DefeatingCorruptor(std::shared_ptr<Rng> rng,
   // the message at any bit offset adds a multiple of the generator, which
   // the CRC cannot see.
   constexpr uint32_t kGeneratorBits = 0x633;  // x^10+x^9+x^5+x^4+x+1
-  return [rng = std::move(rng), counter = std::move(counter), prob](std::vector<uint8_t>& data) {
+  return [rng = std::move(rng), counter = std::move(counter), prob](std::span<uint8_t> data) {
     if (data.size() != kAtmCellBytes || !rng->NextBool(prob)) {
       return;
     }
@@ -71,7 +71,7 @@ CorruptFn MakeCrc10DefeatingCorruptor(std::shared_ptr<Rng> rng,
 DropFn MakeUniformDropper(std::shared_ptr<Rng> rng, std::shared_ptr<InjectionCounter> counter,
                           double prob) {
   return [rng = std::move(rng), counter = std::move(counter),
-          prob](const std::vector<uint8_t>&) {
+          prob](std::span<const uint8_t>) {
     if (!rng->NextBool(prob)) {
       return false;
     }

@@ -1,36 +1,36 @@
 // Physical link models.
 //
 // A Wire serializes transmission units (ATM cells, Ethernet frames) at a
-// fixed bit rate with a fixed propagation delay, delivering the actual bytes
-// to the receiver's callback. An optional corruption hook lets the fault
-// module flip bits in flight (§4.2.1 error-source experiments).
+// fixed bit rate with a fixed propagation delay. It is a timing-and-fate
+// object: Transmit runs the fault hooks over the unit's bytes in place and
+// reports when the last bit left and when each surviving copy arrives. The
+// owner (adapter, switch port, Ethernet segment) schedules its own typed
+// delivery event from that answer, so a 53-byte cell crosses a hop as a
+// value and a frame keeps its one buffer. An optional corruption hook lets
+// the fault module flip bits in flight (§4.2.1 error-source experiments).
 //
-// Two topologies are provided:
-//  * Duplex  — two independent directions (the point-to-point TAXI fiber
-//              between the FORE adapters).
-//  * SharedBus — one half-duplex medium with an enforced inter-unit gap
-//              (the 10 Mbit/s Ethernet baseline).
+// A DuplexLink is two independent directions (the point-to-point TAXI
+// fiber between the FORE adapters); the 10 Mbit/s Ethernet baseline is one
+// Wire shared by every station, with the preamble and inter-frame gap as
+// per-unit gap bytes.
 
 #ifndef SRC_LINK_WIRE_H_
 #define SRC_LINK_WIRE_H_
 
 #include <cstdint>
 #include <functional>
-#include <vector>
+#include <span>
 
-#include "src/sim/simulator.h"
 #include "src/sim/time.h"
 
 namespace tcplat {
 
-// Invoked at arrival time with the (possibly corrupted) unit bytes.
-using DeliverFn = std::function<void(SimTime arrival, std::vector<uint8_t> data)>;
 // May mutate the bytes of a unit in flight.
-using CorruptFn = std::function<void(std::vector<uint8_t>& data)>;
+using CorruptFn = std::function<void(std::span<uint8_t> unit)>;
 // Pre-delivery fate hook: return true to discard the unit in flight. Runs
 // after the corruption hook (corrupt-then-drop), so fault injectors compose
 // without hand-rolled plumbing in each owner.
-using DropFn = std::function<bool(const std::vector<uint8_t>& data)>;
+using DropFn = std::function<bool(std::span<const uint8_t> unit)>;
 
 // Per-link impairment policy: consulted once per transmitted unit, after the
 // corrupt/drop hooks, to decide loss, duplication, and added delay. The
@@ -48,7 +48,18 @@ class LinkImpairment {
   virtual ~LinkImpairment() = default;
 
   // `departure` is the time the last bit leaves the sender.
-  virtual Verdict OnTransmit(SimTime departure, const std::vector<uint8_t>& data) = 0;
+  virtual Verdict OnTransmit(SimTime departure, std::span<const uint8_t> unit) = 0;
+};
+
+// What became of one transmitted unit.
+struct WireFate {
+  SimTime departure;  // the last bit leaves the sender
+  // Arrival times of the copies that survive, in delivery order: none when
+  // the unit was lost in flight, two when the impairment duplicated it.
+  SimTime arrival[2];
+  uint8_t copies = 0;
+
+  std::span<const SimTime> arrivals() const { return {arrival, copies}; }
 };
 
 // One direction of a serial medium.
@@ -56,13 +67,15 @@ class Wire {
  public:
   // `gap_bytes` is per-unit wire overhead serialized but not delivered
   // (preamble, interframe gap, HEC idle...).
-  Wire(Simulator* sim, double bits_per_second, SimDuration propagation, size_t gap_bytes = 0);
+  Wire(double bits_per_second, SimDuration propagation, size_t gap_bytes = 0);
 
-  // Queues `data` for transmission no earlier than `earliest` (and not
-  // before previously queued units finish). Returns the time the last bit
-  // leaves the sender; the receiver callback fires at that time plus the
-  // propagation delay.
-  SimTime Transmit(SimTime earliest, std::vector<uint8_t> data, DeliverFn deliver);
+  // Queues `unit` for transmission no earlier than `earliest` (and not
+  // before previously queued units finish), runs the corrupt, drop and
+  // impairment hooks over it, and reports its fate. Each arrival is the
+  // departure plus the propagation delay (plus any impairment delay); the
+  // caller delivers the (possibly corrupted) bytes at those times. Loss
+  // happens in flight: the sender pays serialization either way.
+  WireFate Transmit(SimTime earliest, std::span<uint8_t> unit);
 
   // Time the medium becomes free.
   SimTime free_at() const { return busy_until_; }
@@ -83,10 +96,6 @@ class Wire {
   uint64_t units_dropped() const { return units_dropped_; }
 
  private:
-  // Schedules the delivery callback at `arrival`.
-  void ScheduleDelivery(SimTime arrival, std::vector<uint8_t> data, DeliverFn deliver);
-
-  Simulator* sim_;
   double bits_per_second_;
   SimDuration propagation_;
   size_t gap_bytes_;
@@ -102,35 +111,14 @@ class Wire {
 // A full-duplex point-to-point link: direction 0 is a->b, 1 is b->a.
 class DuplexLink {
  public:
-  DuplexLink(Simulator* sim, double bits_per_second, SimDuration propagation,
-             size_t gap_bytes = 0)
-      : dirs_{Wire(sim, bits_per_second, propagation, gap_bytes),
-              Wire(sim, bits_per_second, propagation, gap_bytes)} {}
+  DuplexLink(double bits_per_second, SimDuration propagation, size_t gap_bytes = 0)
+      : dirs_{Wire(bits_per_second, propagation, gap_bytes),
+              Wire(bits_per_second, propagation, gap_bytes)} {}
 
   Wire& dir(int d) { return dirs_[d]; }
 
  private:
   Wire dirs_[2];
-};
-
-// A half-duplex shared medium (Ethernet). All stations contend for one
-// serializer; collisions are not modeled (the paper's workload is a strict
-// request/response alternation on an otherwise idle private segment).
-class SharedBus {
- public:
-  SharedBus(Simulator* sim, double bits_per_second, SimDuration propagation, size_t gap_bytes);
-
-  SimTime Transmit(SimTime earliest, std::vector<uint8_t> data, DeliverFn deliver);
-  SimTime free_at() const { return wire_.free_at(); }
-  SimDuration SerializationDelay(size_t bytes) const { return wire_.SerializationDelay(bytes); }
-  void set_corrupt_hook(CorruptFn hook) { wire_.set_corrupt_hook(std::move(hook)); }
-  void set_drop_hook(DropFn hook) { wire_.set_drop_hook(std::move(hook)); }
-  void set_impairment(LinkImpairment* impairment) { wire_.set_impairment(impairment); }
-  uint64_t units_sent() const { return wire_.units_sent(); }
-  uint64_t units_dropped() const { return wire_.units_dropped(); }
-
- private:
-  Wire wire_;
 };
 
 }  // namespace tcplat

@@ -8,8 +8,13 @@
 //  * CRC-32 — IEEE 802.3 frame check sequence for the Ethernet baseline
 //    (reflected, polynomial 0xEDB88320, init/final 0xFFFFFFFF).
 //
-// Both are table-driven with the tables generated at first use; tests verify
-// them against bit-serial reference implementations and known vectors.
+// Both run slicing-by-8: eight 256-entry tables per CRC (4 KB for CRC-10,
+// 8 KB for CRC-32, built at compile time) fold eight input bytes per step
+// with independent lookups, and a byte-table loop finishes the last 0-7
+// bytes. Inputs need no alignment. Every cell and frame is still checked
+// on both ends; only the host cost per check shrinks. Tests pin both to
+// the bit-serial reference implementations below (lengths around the
+// 8-byte boundary, unaligned starts) and to known vectors.
 
 #ifndef SRC_NET_CRC_H_
 #define SRC_NET_CRC_H_

@@ -121,12 +121,6 @@ EventId Host::After(SimDuration d, std::function<void()> fn) {
 
 bool Host::CancelCallout(EventId id) { return sim_->Cancel(id); }
 
-void Host::RunAsInterrupt(const std::function<void()>& fn) {
-  CpuRun run(cpu_, sim_->Now());
-  cpu_.Charge(cpu_.profile().intr_entry);
-  fn();
-}
-
 void BlockAwaiter::await_suspend(std::coroutine_handle<> h) {
   Process* p = host->current_process();
   TCPLAT_CHECK(p != nullptr) << "Block() outside process context";

@@ -160,7 +160,12 @@ class Host {
   // Runs `fn` inside a CPU run as a device interrupt handler at the current
   // simulation time, charging interrupt entry cost first. Must be called
   // from event context (not during another run on this host).
-  void RunAsInterrupt(const std::function<void()>& fn);
+  template <typename Fn>
+  void RunAsInterrupt(Fn&& fn) {
+    CpuRun run(cpu_, sim_->Now());
+    cpu_.Charge(cpu_.profile().intr_entry);
+    fn();
+  }
 
  private:
   friend struct BlockAwaiter;

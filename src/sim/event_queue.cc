@@ -7,77 +7,57 @@
 namespace tcplat {
 
 namespace {
-// Compaction triggers only past this many dead entries, so small queues
-// never pay for it; above it, compaction runs when dead entries outnumber
+// Compaction triggers only past this many dead items, so small queues
+// never pay for it; above it, compaction runs when dead items outnumber
 // live ones, which keeps the heap within 2x the peak live count while
 // amortizing the O(n) sweep over at least n/2 cancellations.
 constexpr size_t kCompactMinDead = 64;
-// The freelist tracks the working set but is capped so a transient burst of
-// pending events cannot pin memory forever.
-constexpr size_t kMaxFreeEntries = 4096;
 }  // namespace
 
-EventQueue::~EventQueue() {
-  for (Entry* e : heap_) {
-    delete e;
-  }
-  for (Entry* e : free_) {
-    delete e;
-  }
-}
-
-EventQueue::Entry* EventQueue::AllocEntry(SimTime when, Callback fn) {
-  Entry* e;
-  if (!free_.empty()) {
-    e = free_.back();
-    free_.pop_back();
-  } else {
-    e = new Entry;
-  }
-  e->time = when;
-  e->seq = next_seq_++;
-  e->id = next_id_++;
-  e->fn = std::move(fn);
-  e->cancelled = false;
-  return e;
-}
-
-void EventQueue::RecycleEntry(Entry* e) {
-  e->fn = nullptr;  // release captured state eagerly
-  if (free_.size() < kMaxFreeEntries) {
-    free_.push_back(e);
-  } else {
-    delete e;
-  }
-}
-
 EventId EventQueue::ScheduleAt(SimTime when, Callback fn) {
-  TCPLAT_CHECK(fn != nullptr);
-  Entry* entry = AllocEntry(when, std::move(fn));
-  heap_.push_back(entry);
-  std::push_heap(heap_.begin(), heap_.end(), EntryGreater{});
-  live_.emplace(entry->id, entry);
-  return entry->id;
+  TCPLAT_CHECK(static_cast<bool>(fn));
+  uint32_t slot = 0;
+  if (!free_slots_.empty()) {
+    slot = free_slots_.back();
+    free_slots_.pop_back();
+  } else {
+    TCPLAT_CHECK_LT(slots_.size(), kSlotMask) << "more pending events than EventId can index";
+    slot = static_cast<uint32_t>(slots_.size());
+    slots_.emplace_back();
+  }
+  Slot& s = slots_[slot];
+  s.fn = std::move(fn);
+  const EventId id = (s.generation << kSlotBits) | slot;
+  heap_.push_back(HeapItem{when, next_seq_++, id});
+  std::push_heap(heap_.begin(), heap_.end(), ItemGreater{});
+  ++live_;
+  return id;
+}
+
+void EventQueue::ReleaseSlot(uint32_t slot) {
+  Slot& s = slots_[slot];
+  s.fn.Reset();  // release captured state eagerly
+  // A wrapped generation could make a stale handle match a new occupant.
+  // At one release per event this takes 2^40 events on a single slot.
+  TCPLAT_CHECK_LT(s.generation, kMaxGeneration) << "event slot generation exhausted";
+  ++s.generation;
+  free_slots_.push_back(slot);
+  --live_;
 }
 
 bool EventQueue::Cancel(EventId id) {
-  auto it = live_.find(id);
-  if (it == live_.end()) {
+  if (!IsLive(id)) {
     return false;
   }
-  Entry* entry = it->second;
-  live_.erase(it);
-  entry->cancelled = true;
-  entry->fn = nullptr;  // the captured state dies now, not at pop time
+  ReleaseSlot(SlotOf(id));  // the captured state dies now, not at pop time
   ++dead_in_heap_;
   CompactIfWorthIt();
   return true;
 }
 
 void EventQueue::DropDeadHead() {
-  while (!heap_.empty() && heap_.front()->cancelled) {
-    std::pop_heap(heap_.begin(), heap_.end(), EntryGreater{});
-    RecycleEntry(heap_.back());
+  while (!heap_.empty() && !IsLive(heap_.front().id)) {
+    std::pop_heap(heap_.begin(), heap_.end(), ItemGreater{});
     heap_.pop_back();
     --dead_in_heap_;
   }
@@ -87,31 +67,26 @@ void EventQueue::CompactIfWorthIt() {
   if (dead_in_heap_ < kCompactMinDead || dead_in_heap_ * 2 < heap_.size()) {
     return;
   }
-  auto first_dead = std::partition(heap_.begin(), heap_.end(),
-                                   [](const Entry* e) { return !e->cancelled; });
-  for (auto it = first_dead; it != heap_.end(); ++it) {
-    RecycleEntry(*it);
-  }
-  heap_.erase(first_dead, heap_.end());
-  std::make_heap(heap_.begin(), heap_.end(), EntryGreater{});
+  std::erase_if(heap_, [this](const HeapItem& item) { return !IsLive(item.id); });
+  std::make_heap(heap_.begin(), heap_.end(), ItemGreater{});
   dead_in_heap_ = 0;
 }
 
 SimTime EventQueue::NextTime() {
   DropDeadHead();
   TCPLAT_CHECK(!heap_.empty());
-  return heap_.front()->time;
+  return heap_.front().time;
 }
 
 EventQueue::Dispatched EventQueue::PopNext() {
   DropDeadHead();
   TCPLAT_CHECK(!heap_.empty());
-  std::pop_heap(heap_.begin(), heap_.end(), EntryGreater{});
-  Entry* entry = heap_.back();
+  std::pop_heap(heap_.begin(), heap_.end(), ItemGreater{});
+  const HeapItem item = heap_.back();
   heap_.pop_back();
-  Dispatched out{entry->time, std::move(entry->fn)};
-  live_.erase(entry->id);
-  RecycleEntry(entry);
+  const uint32_t slot = SlotOf(item.id);
+  Dispatched out{item.time, std::move(slots_[slot].fn)};
+  ReleaseSlot(slot);
   return out;
 }
 

@@ -44,7 +44,7 @@ StarTestbed::StarTestbed(StarTestbedConfig config)
       // Each host owns a private fiber into the switch; the switch creates
       // the return fiber in AttachOutput. Port number = host index.
       fibers_.push_back(
-          std::make_unique<Wire>(&sim_, kTaxiBitsPerSecond, config_.propagation));
+          std::make_unique<Wire>(kTaxiBitsPerSecond, config_.propagation));
       adapters_.push_back(std::make_unique<Tca100>(hosts_[static_cast<size_t>(idx)].get(),
                                                    fibers_.back().get()));
       const bool server_port = idx >= config_.clients;

@@ -85,13 +85,13 @@ TEST(AtmSwitch, UnroutedVciIsDropped) {
   AtmSwitch sw(&sim, kTaxiBitsPerSecond, SimDuration::FromNanos(300),
                SimDuration::FromMicros(10));
   struct NullSink : CellSink {
-    void DeliverCell(SimTime, std::vector<uint8_t>) override { ++cells; }
+    void DeliverCell(SimTime, const CellImage&) override { ++cells; }
     int cells = 0;
   } sink;
   sw.AttachOutput(0, &sink);
   sw.AddRoute(7, 0);
 
-  std::vector<uint8_t> cell(kAtmCellBytes, 0);
+  CellImage cell{};
   cell[1] = 0;
   cell[2] = 7;  // routed VCI
   sw.input(1)->DeliverCell(sim.Now(), cell);

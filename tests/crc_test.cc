@@ -1,9 +1,11 @@
 // Tests for the CRC-10 (AAL3/4) and CRC-32 (Ethernet FCS) implementations:
-// table-driven vs bit-serial agreement, known vectors, and the detection
-// properties §4.2.1 leans on.
+// slicing-by-8 vs bit-serial agreement (lengths around the 8-byte step,
+// unaligned starts), known vectors, and the detection properties §4.2.1
+// leans on.
 
 #include <gtest/gtest.h>
 
+#include <span>
 #include <vector>
 
 #include "src/base/random.h"
@@ -49,9 +51,28 @@ TEST_P(CrcLengthTest, TableMatchesBitSerialCrc32) {
   }
 }
 
+// Lengths straddle the 8-byte slicing step (tails of 0-7 bytes), the SAR
+// payload (44), SAR-PDU (48) and cell (53) sizes, the Ethernet MTU and
+// maximum frame (1500, 1518), and the 9188-byte ATM MTU.
 INSTANTIATE_TEST_SUITE_P(Lengths, CrcLengthTest,
-                         ::testing::Values(0, 1, 2, 3, 7, 8, 44, 48, 53, 64, 100, 1500),
+                         ::testing::Values(0, 1, 2, 3, 7, 8, 9, 15, 16, 17, 44, 47, 48, 49, 53,
+                                           64, 100, 1500, 1518, 9188),
                          [](const auto& inst) { return "n" + std::to_string(inst.param); });
+
+// The 8-byte kernel reads its input with byte-assembled loads, so any start
+// address works: spans into a larger buffer at offsets 1-7 must match the
+// bit-serial oracles over the same bytes.
+TEST(Crc, UnalignedStartsMatchBitSerial) {
+  Rng rng(11);
+  const auto backing = RandomBuffer(rng, 9188 + 8);
+  for (size_t offset = 1; offset <= 7; ++offset) {
+    for (size_t len : {size_t{9}, size_t{17}, size_t{48}, size_t{1518}, size_t{9188}}) {
+      const std::span<const uint8_t> view(backing.data() + offset, len);
+      EXPECT_EQ(Crc10(view), Crc10Reference(view)) << "offset " << offset << " len " << len;
+      EXPECT_EQ(Crc32(view), Crc32Reference(view)) << "offset " << offset << " len " << len;
+    }
+  }
+}
 
 TEST(Crc10, TenBitRange) {
   Rng rng(5);

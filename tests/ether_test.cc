@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <span>
+
 #include "src/base/random.h"
 #include "src/core/rpc_benchmark.h"
 #include "src/core/testbed.h"
@@ -19,7 +21,7 @@ TEST(Ether, FramesCarryValidFcs) {
   // Capture raw frames off the bus.
   std::vector<std::vector<uint8_t>> frames;
   tb.ether_segment()->set_corrupt_hook(
-      [&frames](std::vector<uint8_t>& frame) { frames.push_back(frame); });
+      [&frames](std::span<uint8_t> frame) { frames.emplace_back(frame.begin(), frame.end()); });
   RpcOptions opt;
   opt.size = 200;
   opt.iterations = 5;
@@ -44,7 +46,7 @@ TEST(Ether, MinimumFramePaddingForTinySegments) {
   cfg.network = NetworkKind::kEthernet;
   Testbed tb(cfg);
   size_t min_frame = SIZE_MAX;
-  tb.ether_segment()->set_corrupt_hook([&min_frame](std::vector<uint8_t>& frame) {
+  tb.ether_segment()->set_corrupt_hook([&min_frame](std::span<uint8_t> frame) {
     min_frame = std::min(min_frame, frame.size());
   });
   RpcOptions opt;
@@ -60,7 +62,7 @@ TEST(Ether, CorruptedFrameDroppedByHardwareCrc) {
   cfg.network = NetworkKind::kEthernet;
   Testbed tb(cfg);
   int countdown = 12;
-  tb.ether_segment()->set_corrupt_hook([&countdown](std::vector<uint8_t>& frame) {
+  tb.ether_segment()->set_corrupt_hook([&countdown](std::span<uint8_t> frame) {
     if (--countdown == 0) {
       frame[frame.size() / 2] ^= 0x08;
     }

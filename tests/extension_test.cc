@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <span>
+
 #include "src/base/random.h"
 #include "src/core/rpc_benchmark.h"
 #include "src/core/testbed.h"
@@ -76,7 +78,7 @@ TEST(ChecksumNegotiation, MismatchFallsBackToStandard) {
   // And the segments really carry checksums: corrupt one CRC-invisibly and
   // TCP must catch it.
   int countdown = 30;
-  tb.atm_link()->dir(0).set_corrupt_hook([&countdown](std::vector<uint8_t>& cell) {
+  tb.atm_link()->dir(0).set_corrupt_hook([&countdown](std::span<uint8_t> cell) {
     if (--countdown == 0) {
       constexpr uint32_t kGen = 0x633;
       for (int i = 0; i < 11; ++i) {
@@ -122,7 +124,7 @@ TEST(DuplicateDelivery, ReAckedWithoutCorruption) {
   int kill_from = 40;
   int kill_count = 3;
   tb.atm_link()->dir(1).set_corrupt_hook(
-      [&kill_from, &kill_count](std::vector<uint8_t>& cell) {
+      [&kill_from, &kill_count](std::span<uint8_t> cell) {
         if (--kill_from <= 0 && kill_count > 0) {
           cell[20] ^= 0xFF;  // CRC-visible: the cell (and its PDU) dies
           --kill_count;

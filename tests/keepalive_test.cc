@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <span>
+
 #include "src/core/rpc_benchmark.h"
 #include "src/core/testbed.h"
 #include "src/os/task.h"
@@ -72,8 +74,8 @@ TEST(Keepalive, VanishedPeerIsDetectedAndDropped) {
   ASSERT_TRUE(pair.established);
 
   // The fiber goes dark in both directions: every cell is destroyed.
-  tb.atm_link()->dir(0).set_corrupt_hook([](std::vector<uint8_t>& c) { c[10] ^= 0xFF; });
-  tb.atm_link()->dir(1).set_corrupt_hook([](std::vector<uint8_t>& c) { c[10] ^= 0xFF; });
+  tb.atm_link()->dir(0).set_corrupt_hook([](std::span<uint8_t> c) { c[10] ^= 0xFF; });
+  tb.atm_link()->dir(1).set_corrupt_hook([](std::span<uint8_t> c) { c[10] ^= 0xFF; });
 
   tb.sim().RunUntil(SimTime::FromSeconds(60));
   EXPECT_GE(tb.client_tcp().stats().keepalive_probes_sent, 3u);

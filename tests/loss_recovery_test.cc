@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "src/core/rpc_benchmark.h"
@@ -31,7 +32,7 @@ constexpr uint8_t kFlagFin = 0x01;
 constexpr uint8_t kFlagSyn = 0x02;
 constexpr uint8_t kFlagAck = 0x10;
 
-FrameView ParseFrame(const std::vector<uint8_t>& f) {
+FrameView ParseFrame(std::span<const uint8_t> f) {
   FrameView v;
   if (f.size() < 14 + 20) {
     return v;
@@ -77,7 +78,7 @@ RpcOptions EchoOptions(size_t size, int iterations) {
 TEST(LossRecovery, SingleDataSegmentLossRecoversByRexmtTimer) {
   Testbed tb(EtherConfig());
   int dropped = 0;
-  tb.ether_segment()->set_drop_hook([&](const std::vector<uint8_t>& f) {
+  tb.ether_segment()->set_drop_hook([&](std::span<const uint8_t> f) {
     const FrameView v = ParseFrame(f);
     if (v.is_tcp && v.from_client && v.payload > 0 && dropped == 0) {
       ++dropped;
@@ -106,7 +107,7 @@ TEST(LossRecovery, RepeatedLossBacksOffExponentially) {
   // Swallow the first three transmissions of the first data segment; the
   // fourth attempt goes through.
   int dropped = 0;
-  tb.ether_segment()->set_drop_hook([&](const std::vector<uint8_t>& f) {
+  tb.ether_segment()->set_drop_hook([&](std::span<const uint8_t> f) {
     const FrameView v = ParseFrame(f);
     if (v.is_tcp && v.from_client && v.payload > 0 && dropped < 3) {
       ++dropped;
@@ -160,7 +161,7 @@ TEST(LossRecovery, LostAckRepairedByNextCumulativeAck) {
     Testbed tb(EtherConfig());
     int seen = 0;
     int dropped = 0;
-    tb.ether_segment()->set_drop_hook([&](const std::vector<uint8_t>& f) {
+    tb.ether_segment()->set_drop_hook([&](std::span<const uint8_t> f) {
       const FrameView v = ParseFrame(f);
       if (v.is_tcp && v.from_client && v.payload == 0 && v.tcp_flags == kFlagAck) {
         if (seen++ == drop_index) {
@@ -188,7 +189,7 @@ TEST(LossRecovery, LostAckRepairedByNextCumulativeAck) {
 TEST(LossRecovery, SynLossRecoversAndConnects) {
   Testbed tb(EtherConfig());
   int dropped = 0;
-  tb.ether_segment()->set_drop_hook([&](const std::vector<uint8_t>& f) {
+  tb.ether_segment()->set_drop_hook([&](std::span<const uint8_t> f) {
     const FrameView v = ParseFrame(f);
     if (v.is_tcp && v.from_client && (v.tcp_flags & kFlagSyn) != 0 && dropped == 0) {
       ++dropped;

@@ -38,7 +38,7 @@ struct MixedNet {
         atm_ip(&atm_host, kAtmHostIp),
         gw_ip(&gw_host, kGwAtmIp),
         eth_ip(&eth_host, kEthHostIp),
-        fiber(&sim, kTaxiBitsPerSecond, SimDuration::FromNanos(300)),
+        fiber(kTaxiBitsPerSecond, SimDuration::FromNanos(300)),
         atm_adapter(&atm_host, &fiber.dir(0)),
         gw_adapter(&gw_host, &fiber.dir(1)),
         atm_if(&atm_ip, &atm_adapter, 42),

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <span>
 #include <vector>
 
 #include "src/base/random.h"
@@ -103,7 +104,7 @@ TEST(Robustness, NoChecksumModeSurvivesCorruptionWithoutCrashing) {
   cfg.tcp.checksum = ChecksumMode::kNone;
   Testbed tb(cfg);
   auto rng = std::make_shared<Rng>(11);
-  tb.atm_link()->dir(0).set_corrupt_hook([rng](std::vector<uint8_t>& cell) {
+  tb.atm_link()->dir(0).set_corrupt_hook([rng](std::span<uint8_t> cell) {
     if (rng->NextBool(0.01)) {
       // Damage payload bytes only, in a CRC-defeating generator pattern.
       constexpr uint32_t kGen = 0x633;
@@ -135,12 +136,12 @@ TEST(Robustness, ChaosMixedSizesUnderLossWithChecksums) {
   TestbedConfig cfg;
   Testbed tb(cfg);
   auto rng = std::make_shared<Rng>(2026);
-  tb.atm_link()->dir(0).set_corrupt_hook([rng](std::vector<uint8_t>& cell) {
+  tb.atm_link()->dir(0).set_corrupt_hook([rng](std::span<uint8_t> cell) {
     if (rng->NextBool(0.001)) {
       cell[17] ^= 0x04;
     }
   });
-  tb.atm_link()->dir(1).set_corrupt_hook([rng](std::vector<uint8_t>& cell) {
+  tb.atm_link()->dir(1).set_corrupt_hook([rng](std::span<uint8_t> cell) {
     if (rng->NextBool(0.001)) {
       cell[33] ^= 0x40;
     }

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <span>
 #include <vector>
 
 #include "src/base/random.h"
@@ -127,7 +128,7 @@ TEST(Routing, TtlDecrementedByGateway) {
   RoutedNet net;
   // Capture a frame on the right segment and inspect its TTL.
   uint8_t seen_ttl = 0;
-  net.right_segment().set_corrupt_hook([&seen_ttl](std::vector<uint8_t>& frame) {
+  net.right_segment().set_corrupt_hook([&seen_ttl](std::span<uint8_t> frame) {
     if (seen_ttl == 0) {
       seen_ttl = frame[kEtherHeaderBytes + 8];
     }

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 #include <vector>
 
 #include "src/sim/event_queue.h"
@@ -87,6 +88,69 @@ TEST(EventQueue, CancelPreventsDispatch) {
   EXPECT_TRUE(q.empty());
   EXPECT_FALSE(q.Cancel(id));  // second cancel is a no-op
   EXPECT_FALSE(ran);
+}
+
+TEST(EventQueue, CancelAfterRunReturnsFalse) {
+  EventQueue q;
+  int ran = 0;
+  const EventId id = q.ScheduleAt(SimTime::FromNanos(10), [&] { ++ran; });
+  q.PopNext().fn();
+  EXPECT_EQ(ran, 1);
+  EXPECT_FALSE(q.Cancel(id));
+  EXPECT_TRUE(q.empty());
+}
+
+TEST(EventQueue, CancelAfterCancelReturnsFalse) {
+  EventQueue q;
+  const EventId id = q.ScheduleAt(SimTime::FromNanos(10), [] {});
+  const EventId other = q.ScheduleAt(SimTime::FromNanos(20), [] {});
+  EXPECT_TRUE(q.Cancel(id));
+  EXPECT_FALSE(q.Cancel(id));
+  EXPECT_EQ(q.size(), 1u);
+  EXPECT_TRUE(q.Cancel(other));
+  EXPECT_TRUE(q.empty());
+}
+
+TEST(EventQueue, StaleHandleCannotCancelSlotsNewOccupant) {
+  EventQueue q;
+  const EventId stale = q.ScheduleAt(SimTime::FromNanos(10), [] {});
+  ASSERT_TRUE(q.Cancel(stale));
+  // The freed slot is reused by the next event; the old handle must not
+  // reach it.
+  bool ran = false;
+  const EventId fresh = q.ScheduleAt(SimTime::FromNanos(20), [&] { ran = true; });
+  EXPECT_EQ(q.allocated_entries(), 1u);  // same slot, new generation
+  EXPECT_NE(fresh, stale);
+  EXPECT_FALSE(q.Cancel(stale));
+  EXPECT_EQ(q.size(), 1u);
+  q.PopNext().fn();
+  EXPECT_TRUE(ran);
+
+  // Same after the slot's occupant ran rather than being cancelled.
+  const EventId after_run = q.ScheduleAt(SimTime::FromNanos(30), [] {});
+  EXPECT_FALSE(q.Cancel(fresh));
+  EXPECT_FALSE(q.Cancel(stale));
+  EXPECT_EQ(q.size(), 1u);
+  EXPECT_TRUE(q.Cancel(after_run));
+}
+
+TEST(EventQueue, CancelInvalidIdReturnsFalse) {
+  EventQueue q;
+  EXPECT_FALSE(q.Cancel(kInvalidEventId));
+  q.ScheduleAt(SimTime::FromNanos(10), [] {});
+  EXPECT_FALSE(q.Cancel(kInvalidEventId));
+  EXPECT_EQ(q.size(), 1u);
+}
+
+TEST(EventQueue, CallbackCapturesAreReleasedOnCancel) {
+  // Cancellation destroys the captured state at once, not when the stale
+  // heap item surfaces.
+  EventQueue q;
+  auto token = std::make_shared<int>(7);
+  const EventId id = q.ScheduleAt(SimTime::FromNanos(10), [token] { (void)*token; });
+  EXPECT_EQ(token.use_count(), 2);
+  q.Cancel(id);
+  EXPECT_EQ(token.use_count(), 1);
 }
 
 TEST(EventQueue, CancelMiddleEventKeepsOthers) {

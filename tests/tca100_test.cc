@@ -19,7 +19,7 @@ class Tca100Test : public ::testing::Test {
   Tca100Test()
       : tx_host_(&sim_, "tx", CostProfile::Decstation5000_200()),
         rx_host_(&sim_, "rx", CostProfile::Decstation5000_200()),
-        link_(&sim_, kTaxiBitsPerSecond, SimDuration::FromNanos(300)),
+        link_(kTaxiBitsPerSecond, SimDuration::FromNanos(300)),
         tx_dev_(&tx_host_, &link_.dir(0)),
         rx_dev_(&rx_host_, &link_.dir(1)) {
     tx_dev_.ConnectPeer(&rx_dev_);

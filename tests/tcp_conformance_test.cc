@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <span>
 #include <vector>
 
 #include "src/core/rpc_benchmark.h"
@@ -170,7 +171,7 @@ TEST_F(Conformance, LostSynAckIsRetransmittedByServer) {
   cfg.tcp.rexmt_min = SimDuration::FromMillis(50);
   Testbed tb(cfg);
   int kill = 1;
-  tb.atm_link()->dir(1).set_corrupt_hook([&kill](std::vector<uint8_t>& cell) {
+  tb.atm_link()->dir(1).set_corrupt_hook([&kill](std::span<uint8_t> cell) {
     if (kill > 0) {
       cell[10] ^= 0xFF;
       --kill;
@@ -682,7 +683,7 @@ TEST(CongestionE2E, SingleLossRepairedByFastRetransmitNotTimeout) {
   Testbed tb(cfg);
   int countdown = 400;  // one cell of roughly the 11th data segment: past
                         // slow start's opening, with a full window behind it
-  tb.atm_link()->dir(0).set_corrupt_hook([&countdown](std::vector<uint8_t>& cell) {
+  tb.atm_link()->dir(0).set_corrupt_hook([&countdown](std::span<uint8_t> cell) {
     if (--countdown == 0) {
       cell[10] ^= 0xFF;
     }

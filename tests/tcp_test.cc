@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <span>
 #include <vector>
 
 #include "src/base/random.h"
@@ -342,7 +343,7 @@ TEST_F(TcpTest, CellCorruptionRecoveredByRetransmission) {
   Testbed tb{TestbedConfig{}};
   // Corrupt exactly one cell mid-run on the request direction.
   int countdown = 40;
-  tb.atm_link()->dir(0).set_corrupt_hook([&countdown](std::vector<uint8_t>& cell) {
+  tb.atm_link()->dir(0).set_corrupt_hook([&countdown](std::span<uint8_t> cell) {
     if (--countdown == 0) {
       cell[30] ^= 0x40;
     }
@@ -362,7 +363,7 @@ TEST_F(TcpTest, LostSegmentMidStreamUsesReassemblyQueue) {
   cfg.network = NetworkKind::kEthernet;
   Testbed tb(cfg);
   int countdown = 20;
-  tb.ether_segment()->set_corrupt_hook([&countdown](std::vector<uint8_t>& frame) {
+  tb.ether_segment()->set_corrupt_hook([&countdown](std::span<uint8_t> frame) {
     if (--countdown == 0) {
       frame[frame.size() / 2] ^= 0x01;
     }
@@ -425,7 +426,7 @@ TEST_F(TcpTest, ConnectOverDeadLinkFailsAfterRetries) {
   Testbed tb(cfg);
   // Black-hole the request direction: every cell is destroyed in flight.
   tb.atm_link()->dir(0).set_corrupt_hook(
-      [](std::vector<uint8_t>& cell) { cell[10] ^= 0xFF; });
+      [](std::span<uint8_t> cell) { cell[10] ^= 0xFF; });
   client_ = {};
   tb.client_host().Spawn("client", ConnectSendRecv(&tb, &client_, RandomData(10, 1), 0, false));
   tb.sim().RunToCompletion();

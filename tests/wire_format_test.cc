@@ -3,13 +3,13 @@
 
 #include <gtest/gtest.h>
 
+#include <span>
 #include <vector>
 
 #include "src/base/random.h"
 #include "src/link/wire.h"
 #include "src/net/byte_order.h"
 #include "src/net/wire.h"
-#include "src/sim/simulator.h"
 
 namespace tcplat {
 namespace {
@@ -186,61 +186,63 @@ TEST(EtherHeader, RoundTrip) {
 // --- link-layer Wire timing ---
 
 TEST(Wire, SerializationAndPropagationTiming) {
-  Simulator sim;
-  Wire wire(&sim, 100e6, SimDuration::FromNanos(300));  // 100 Mbit/s
-  SimTime arrival;
-  const SimTime done = wire.Transmit(SimTime(), std::vector<uint8_t>(1250, 0),
-                                     [&](SimTime t, std::vector<uint8_t>) { arrival = t; });
+  Wire wire(100e6, SimDuration::FromNanos(300));  // 100 Mbit/s
+  std::vector<uint8_t> unit(1250, 0);
+  const WireFate fate = wire.Transmit(SimTime(), unit);
   // 1250 bytes at 100 Mbit/s = 100 us on the wire.
-  EXPECT_EQ(done, SimTime::FromMicros(100));
-  sim.RunToCompletion();
-  EXPECT_EQ(arrival, SimTime::FromMicros(100) + SimDuration::FromNanos(300));
+  EXPECT_EQ(fate.departure, SimTime::FromMicros(100));
+  ASSERT_EQ(fate.arrivals().size(), 1u);
+  EXPECT_EQ(fate.arrivals()[0], SimTime::FromMicros(100) + SimDuration::FromNanos(300));
 }
 
 TEST(Wire, BackToBackUnitsQueue) {
-  Simulator sim;
-  Wire wire(&sim, 8e6, SimDuration());  // 1 byte per microsecond
-  const SimTime first = wire.Transmit(SimTime(), std::vector<uint8_t>(10, 0),
-                                      [](SimTime, std::vector<uint8_t>) {});
+  Wire wire(8e6, SimDuration());  // 1 byte per microsecond
+  std::vector<uint8_t> first_unit(10, 0);
+  std::vector<uint8_t> second_unit(5, 0);
+  const SimTime first = wire.Transmit(SimTime(), first_unit).departure;
   EXPECT_EQ(first, SimTime::FromMicros(10));
   // Requested at t=0 but the wire is busy until t=10.
-  const SimTime second = wire.Transmit(SimTime(), std::vector<uint8_t>(5, 0),
-                                       [](SimTime, std::vector<uint8_t>) {});
+  const SimTime second = wire.Transmit(SimTime(), second_unit).departure;
   EXPECT_EQ(second, SimTime::FromMicros(15));
   EXPECT_EQ(wire.free_at(), SimTime::FromMicros(15));
-  sim.RunToCompletion();
 }
 
 TEST(Wire, GapBytesAddTimeButNotData) {
-  Simulator sim;
-  Wire wire(&sim, 8e6, SimDuration(), /*gap_bytes=*/20);
-  size_t delivered = 0;
-  const SimTime done = wire.Transmit(SimTime(), std::vector<uint8_t>(10, 0),
-                                     [&](SimTime, std::vector<uint8_t> d) { delivered = d.size(); });
-  EXPECT_EQ(done, SimTime::FromMicros(30));  // 10 + 20 gap bytes of time
-  sim.RunToCompletion();
-  EXPECT_EQ(delivered, 10u);  // but only 10 bytes of data
+  Wire wire(8e6, SimDuration(), /*gap_bytes=*/20);
+  std::vector<uint8_t> unit(10, 0);
+  const WireFate fate = wire.Transmit(SimTime(), unit);
+  EXPECT_EQ(fate.departure, SimTime::FromMicros(30));  // 10 + 20 gap bytes of time
+  EXPECT_EQ(wire.bytes_sent(), 10u);                   // but only 10 bytes of data
 }
 
 TEST(Wire, DeliversExactBytesAndCorruptHookApplies) {
-  Simulator sim;
-  Wire wire(&sim, 1e9, SimDuration());
+  Wire wire(1e9, SimDuration());
   Rng rng(3);
   std::vector<uint8_t> payload(64);
   for (auto& b : payload) {
     b = static_cast<uint8_t>(rng.Next());
   }
-  std::vector<uint8_t> got;
-  wire.Transmit(SimTime(), payload, [&](SimTime, std::vector<uint8_t> d) { got = std::move(d); });
-  sim.RunToCompletion();
+  std::vector<uint8_t> got = payload;
+  EXPECT_EQ(wire.Transmit(SimTime(), got).copies, 1);
   EXPECT_EQ(got, payload);
 
-  wire.set_corrupt_hook([](std::vector<uint8_t>& d) { d[0] ^= 0xFF; });
-  wire.Transmit(sim.Now(), payload, [&](SimTime, std::vector<uint8_t> d) { got = std::move(d); });
-  sim.RunToCompletion();
+  wire.set_corrupt_hook([](std::span<uint8_t> d) { d[0] ^= 0xFF; });
+  got = payload;
+  EXPECT_EQ(wire.Transmit(wire.free_at(), got).copies, 1);
   EXPECT_NE(got, payload);
   EXPECT_EQ(got[0], static_cast<uint8_t>(payload[0] ^ 0xFF));
   EXPECT_EQ(wire.units_sent(), 2u);
+}
+
+TEST(Wire, DropHookLosesTheUnitInFlight) {
+  Wire wire(8e6, SimDuration::FromNanos(300));
+  wire.set_drop_hook([](std::span<const uint8_t>) { return true; });
+  std::vector<uint8_t> unit(10, 0);
+  const WireFate fate = wire.Transmit(SimTime(), unit);
+  // The sender still paid serialization; nothing arrives.
+  EXPECT_EQ(fate.departure, SimTime::FromMicros(10));
+  EXPECT_TRUE(fate.arrivals().empty());
+  EXPECT_EQ(wire.units_dropped(), 1u);
 }
 
 }  // namespace
