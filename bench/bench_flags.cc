@@ -36,10 +36,6 @@ bool ParseBenchFlags(int argc, char** argv, BenchFlags* flags, const char* accep
       flags->trace_sample_flows = static_cast<uint32_t>(std::strtoul(v, nullptr, 10));
       continue;
     }
-    if (const char* v = FlagValue(argc, argv, &i, "--trace-sample-reservoir")) {
-      flags->trace_sample_reservoir = static_cast<uint32_t>(std::strtoul(v, nullptr, 10));
-      continue;
-    }
     if (const char* v = FlagValue(argc, argv, &i, "--trace-spill")) {
       flags->trace_spill_path = v;
       continue;

@@ -29,8 +29,7 @@ struct BenchFlags {
   uint32_t trace_sample_flows = 0;  // --trace-sample-flows N: keep 1-in-N flows
   std::string bin_out_path;         // --bin-out PATH: write the sealed binary trace
   std::string from_binary_path;     // --from-binary PATH: read a sealed binary trace
-  // Reservoir sampling and TLBT disk spill (PR 10).
-  uint32_t trace_sample_reservoir = 0;  // --trace-sample-reservoir K: bottom-K flows
+  // TLBT disk spill.
   std::string trace_spill_path;     // --trace-spill PATH: TLBT mid-run spill file
   size_t trace_spill_segment = 0;   // --trace-spill-segment BYTES; 0 = default
   // Timeseries telemetry plane (src/trace/timeseries.h).

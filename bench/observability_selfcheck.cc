@@ -26,15 +26,14 @@
 //      memory drops >= 4x versus the full binary trace while the sampled
 //      p99 stage blame tracks the full-trace blame per stage.
 //
-// Part three covers the PR 10 additions:
+// Part three covers disk spill and the timeseries plane:
 //
 //    9. mid-run TLBT disk spill (BinaryTraceWriter::EnableSpill) seals the
 //       same byte stream an unspilled capture produces;
-//   10. deterministic bottom-K reservoir flow sampling keeps the same flow
-//       set and event stream run to run;
-//   11. the timeseries hooks cost nothing when no sampler is attached
-//       (timeseries_overhead_pct, gated on an absolute ceiling);
-//   12. the default-period timeseries plane stays frugal
+//   10. the timeseries hooks cost nothing when no sampler is attached
+//       (timeseries_overhead_pct, the median of interleaved pairs, gated
+//       on an absolute ceiling);
+//   11. the default-period timeseries plane stays frugal
 //       (timeseries_points_per_flow, gated on a 1.10x ceiling).
 //
 // Writes a flat metrics JSON (the regression-gate input) to
@@ -53,6 +52,7 @@
 #include <vector>
 
 #include "bench/bench_flags.h"
+#include "bench/overhead_pairs.h"
 
 #include "src/base/check.h"
 #include "src/core/rpc_benchmark.h"
@@ -237,24 +237,6 @@ BinaryCellRun RunBinaryCell(const CapacityCell& cell, uint32_t sample_one_in) {
   return out;
 }
 
-// Runs `cell` with deterministic bottom-K reservoir flow sampling; returns
-// the final kept set and the kept event stream as CSV — both must be pure
-// functions of (cell, k).
-struct ReservoirRun {
-  std::vector<uint64_t> kept;
-  std::string csv;
-};
-
-ReservoirRun RunReservoirCell(const CapacityCell& cell, uint32_t k) {
-  Tracer tracer;
-  tracer.EnableFlowReservoir(k, cell.seed);
-  RunCapacityCell(cell, &tracer);
-  ReservoirRun out;
-  out.kept.assign(tracer.flows_kept().begin(), tracer.flows_kept().end());
-  out.csv = tracer.ToCsv();
-  return out;
-}
-
 // Wall-clock echo rate with the given tracer attached (nullptr = none);
 // the timeseries-overhead probe, mirroring perf_selfcheck's
 // MeasureTraceDisabledOverheadPct.
@@ -278,24 +260,20 @@ double MeasureEchoEventRate(int iterations, Tracer* tracer) {
 // sides attach a full tracer; one also enables the timeseries plane with a
 // non-positive period, which keeps every producer hook live (TcpConnection,
 // AtmSwitch, FlowDriver all reach TimeseriesSampler::Push) but records no
-// points. Best-of-3 each side to shave scheduler noise.
-double MeasureTimeseriesOverheadPct(int iterations) {
-  double base = 0;
-  double hooked = 0;
-  for (int rep = 0; rep < 3; ++rep) {
-    {
-      Tracer tracer;
-      base = std::max(base, MeasureEchoEventRate(iterations, &tracer));
-    }
-    {
-      Tracer tracer;
-      TimeseriesConfig cfg;
-      cfg.period_ns = 0;  // hooks live, sampler records nothing
-      tracer.EnableTimeseries(cfg);
-      hooked = std::max(hooked, MeasureEchoEventRate(iterations, &tracer));
-    }
-  }
-  return 100.0 * (base - hooked) / base;
+// points. Interleaved pairs (bench/overhead_pairs.h).
+OverheadSpread MeasureTimeseriesOverheadPct(int iterations) {
+  return MeasureInterleavedOverheadPct(
+      [&] {
+        Tracer tracer;
+        return MeasureEchoEventRate(iterations, &tracer);
+      },
+      [&] {
+        Tracer tracer;
+        TimeseriesConfig cfg;
+        cfg.period_ns = 0;  // hooks live, sampler records nothing
+        tracer.EnableTimeseries(cfg);
+        return MeasureEchoEventRate(iterations, &tracer);
+      });
 }
 
 // Decodes `blob` and runs the batch CausalGraph + AttributeRtts path on it.
@@ -522,27 +500,16 @@ int Run(const BenchFlags& flags) {
   Check(spill_identical, line);
   std::remove(spill_path.c_str());
 
-  // (10) reservoir flow sampling: the bottom-K kept set and the kept event
-  // stream are pure functions of (cell, K), run to run.
-  const uint32_t reservoir_k = 3;
-  const ReservoirRun res_a = RunReservoirCell(small_cell, reservoir_k);
-  const ReservoirRun res_b = RunReservoirCell(small_cell, reservoir_k);
-  const bool reservoir_deterministic = res_a.kept.size() == reservoir_k &&
-                                       res_a.kept == res_b.kept && res_a.csv == res_b.csv &&
-                                       !res_a.csv.empty();
+  // (10) timeseries hook overhead with no sampler recording.
+  const OverheadSpread ts_overhead = MeasureTimeseriesOverheadPct(flags.quick ? 400 : 2000);
+  const double ts_overhead_pct = ts_overhead.median_pct;
   std::snprintf(line, sizeof(line),
-                "bottom-%u reservoir keeps an identical flow set and event stream run to run",
-                reservoir_k);
-  Check(reservoir_deterministic, line);
-
-  // (11) timeseries hook overhead with no sampler recording.
-  const double ts_overhead_pct = MeasureTimeseriesOverheadPct(flags.quick ? 400 : 2000);
-  std::snprintf(line, sizeof(line),
-                "timeseries hooks with recording off cost <= 10%% (measured %.2f%%)",
-                ts_overhead_pct);
+                "timeseries hooks with recording off cost <= 10%% (median of %d interleaved "
+                "pairs %.2f%%, quartiles %.2f .. %.2f)",
+                kOverheadPairs, ts_overhead_pct, ts_overhead.q1_pct, ts_overhead.q3_pct);
   Check(ts_overhead_pct <= 10.0, line);
 
-  // (12) default-period plane on the 8-flow cell: points per flow
+  // (11) default-period plane on the 8-flow cell: points per flow
   // is a deterministic simulated quantity the gate holds to a ceiling.
   Tracer ts_tracer;
   ts_tracer.EnableTimeseries(TimeseriesConfig{});
@@ -594,8 +561,6 @@ int Run(const BenchFlags& flags) {
              (blame_matches ? "true" : "false") + ",\n";
   metrics += std::string("  \"spill_roundtrip_identical\": ") +
              (spill_identical ? "true" : "false") + ",\n";
-  metrics += std::string("  \"reservoir_deterministic\": ") +
-             (reservoir_deterministic ? "true" : "false") + ",\n";
   std::snprintf(buf, sizeof(buf), "  \"timeseries_overhead_pct\": %.2f,\n", ts_overhead_pct);
   metrics += buf;
   std::snprintf(buf, sizeof(buf), "  \"timeseries_points_per_flow\": %.1f\n", points_per_flow);

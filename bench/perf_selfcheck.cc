@@ -25,6 +25,7 @@
 #include <vector>
 
 #include "bench/bench_flags.h"
+#include "bench/overhead_pairs.h"
 #include "src/core/paper_data.h"
 #include "src/core/rpc_benchmark.h"
 #include "src/core/testbed.h"
@@ -112,46 +113,16 @@ RpcRate MeasureRpcRate(int iterations, Tracer* tracer = nullptr) {
 }
 
 // Tracing must cost nothing when off: every hook is a pointer test in
-// Host::TracePacket plus an `enabled_` test in the Tracer. One wall-clock
-// A/B is noise-dominated, so the runs are interleaved: each of
-// kOverheadPairs pairs times the plain run and the detached-tracer run back
-// to back (alternating which goes first, so drift and warm-up do not favour
-// one side) and yields one overhead figure. The gate reads the median pair;
-// the quartiles show how far apart the pairs were.
-constexpr int kOverheadPairs = 11;
-
-struct OverheadSpread {
-  double median_pct = 0;
-  double q1_pct = 0;
-  double q3_pct = 0;
-};
-
-// Linear-interpolated quantile of `sorted` (ascending, non-empty).
-double Quantile(const std::vector<double>& sorted, double q) {
-  const double pos = q * static_cast<double>(sorted.size() - 1);
-  const size_t lo = static_cast<size_t>(pos);
-  const size_t hi = std::min(lo + 1, sorted.size() - 1);
-  return sorted[lo] + (sorted[hi] - sorted[lo]) * (pos - static_cast<double>(lo));
-}
-
+// Host::TracePacket plus an `enabled_` test in the Tracer. Interleaved
+// pairs of the plain run and the detached-tracer run (bench/overhead_pairs.h).
 OverheadSpread MeasureTraceDisabledOverheadPct(int iterations) {
-  std::vector<double> pct;
-  for (int pair = 0; pair < kOverheadPairs; ++pair) {
-    double base = 0;
-    double hooked = 0;
-    for (int leg = 0; leg < 2; ++leg) {
-      if ((leg == 0) == (pair % 2 == 0)) {
-        base = MeasureRpcRate(iterations).sim_events_per_sec;
-      } else {
+  return MeasureInterleavedOverheadPct(
+      [&] { return MeasureRpcRate(iterations).sim_events_per_sec; },
+      [&] {
         Tracer tracer;
         tracer.set_enabled(false);
-        hooked = MeasureRpcRate(iterations, &tracer).sim_events_per_sec;
-      }
-    }
-    pct.push_back(100.0 * (base - hooked) / base);
-  }
-  std::sort(pct.begin(), pct.end());
-  return {Quantile(pct, 0.5), Quantile(pct, 0.25), Quantile(pct, 0.75)};
+        return MeasureRpcRate(iterations, &tracer).sim_events_per_sec;
+      });
 }
 
 // 2b. Multi-flow workload throughput: one 64-flow capacity cell (the

@@ -318,7 +318,6 @@ int SelfTest() {
       {"trace_sampled_flows", "20"},
       {"sampled_blame_within_tolerance", "true"},
       {"spill_roundtrip_identical", "true"},
-      {"reservoir_deterministic", "true"},
       {"timeseries_overhead_pct", "1.20"},
       {"timeseries_points_per_flow", "113.0"},
   };
@@ -424,15 +423,14 @@ int SelfTest() {
   expected += g_failures == 0 ? 0 : 1;
 
   // ...but hooks past the ceiling, a bloated point budget, or a lost spill
-  // or reservoir property all fail.
+  // property all fail.
   std::map<std::string, std::string> ts_broken = trace;
   ts_broken["timeseries_overhead_pct"] = "25.00";
   ts_broken["timeseries_points_per_flow"] = "140.0";
   ts_broken["spill_roundtrip_identical"] = "false";
-  ts_broken["reservoir_deterministic"] = "false";
   g_failures = 0;
   GateTrace(ts_broken, trace);
-  expected += g_failures == 4 ? 0 : 1;
+  expected += g_failures == 3 ? 0 : 1;
 
   // Congestion floors: goodput/efficiency/fairness within 10% of baseline
   // (or better) pass...

@@ -51,7 +51,6 @@ class EtherSegment {
   SimTime Transmit(SimTime earliest, std::vector<uint8_t> frame);
 
   void set_corrupt_hook(CorruptFn hook) { bus_.set_corrupt_hook(std::move(hook)); }
-  void set_drop_hook(DropFn hook) { bus_.set_drop_hook(std::move(hook)); }
   void set_impairment(LinkImpairment* impairment) { bus_.set_impairment(impairment); }
   uint64_t frames_sent() const { return bus_.units_sent(); }
   uint64_t frames_dropped() const { return bus_.units_dropped(); }

@@ -28,18 +28,6 @@ CorruptFn MakeCellBitFlipper(std::shared_ptr<Rng> rng, std::shared_ptr<Injection
   };
 }
 
-CorruptFn MakeFrameBitFlipper(std::shared_ptr<Rng> rng,
-                              std::shared_ptr<InjectionCounter> counter, double prob, int bits) {
-  return [rng = std::move(rng), counter = std::move(counter), prob,
-          bits](std::span<uint8_t> data) {
-    if (data.empty() || !rng->NextBool(prob)) {
-      return;
-    }
-    FlipRandomBits(*rng, data, 0, data.size(), bits);
-    ++counter->injected;
-  };
-}
-
 CorruptFn MakeCrc10DefeatingCorruptor(std::shared_ptr<Rng> rng,
                                       std::shared_ptr<InjectionCounter> counter, double prob) {
   // The generator (with the x^10 term) is an 11-bit pattern; XORing it into
@@ -65,18 +53,6 @@ CorruptFn MakeCrc10DefeatingCorruptor(std::shared_ptr<Rng> rng,
       }
     }
     ++counter->injected;
-  };
-}
-
-DropFn MakeUniformDropper(std::shared_ptr<Rng> rng, std::shared_ptr<InjectionCounter> counter,
-                          double prob) {
-  return [rng = std::move(rng), counter = std::move(counter),
-          prob](std::span<const uint8_t>) {
-    if (!rng->NextBool(prob)) {
-      return false;
-    }
-    ++counter->injected;
-    return true;
   };
 }
 

@@ -31,12 +31,6 @@ struct InjectionCounter {
 CorruptFn MakeCellBitFlipper(std::shared_ptr<Rng> rng, std::shared_ptr<InjectionCounter> counter,
                              double prob, int bits = 1);
 
-// Flips `bits` random bits anywhere in an Ethernet frame with probability
-// `prob` per frame.
-CorruptFn MakeFrameBitFlipper(std::shared_ptr<Rng> rng,
-                              std::shared_ptr<InjectionCounter> counter, double prob,
-                              int bits = 1);
-
 // §4.2.1 source (4): XORs the CRC-10 generator polynomial's bit pattern into
 // a random position of the cell's SAR payload. The resulting message differs
 // from the original by a multiple of the generator, so the per-cell CRC-10
@@ -50,13 +44,6 @@ CorruptFn MakeCrc10DefeatingCorruptor(std::shared_ptr<Rng> rng,
 // `prob` per PDU. Attach via AtmNetIf::set_controller_fault_hook.
 std::function<void(std::vector<uint8_t>&)> MakeControllerCorruptor(
     std::shared_ptr<Rng> rng, std::shared_ptr<InjectionCounter> counter, double prob);
-
-// Drops each unit with probability `prob`. Attach via Wire::set_drop_hook
-// (runs after the corruption hook, so corrupt-then-drop composes without
-// extra plumbing). For the richer loss models (bursty loss, duplication,
-// reordering, jitter) use ImpairmentPolicy from src/fault/impairment.h.
-DropFn MakeUniformDropper(std::shared_ptr<Rng> rng, std::shared_ptr<InjectionCounter> counter,
-                          double prob);
 
 }  // namespace tcplat
 

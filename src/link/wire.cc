@@ -24,15 +24,11 @@ WireFate Wire::Transmit(SimTime earliest, std::span<uint8_t> unit) {
   ++units_sent_;
   bytes_sent_ += unit.size();
 
-  // Fate hooks compose corrupt-then-drop: a corrupted unit can still be
+  // Fate hooks compose corrupt-then-impair: a corrupted unit can still be
   // discarded, and either way the sender already paid serialization — loss
   // happens in flight, never refunding wire time.
   if (corrupt_) {
     corrupt_(unit);
-  }
-  if (drop_ && drop_(unit)) {
-    ++units_dropped_;
-    return fate;
   }
   LinkImpairment::Verdict verdict;
   if (impairment_ != nullptr) {

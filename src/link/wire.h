@@ -27,13 +27,9 @@ namespace tcplat {
 
 // May mutate the bytes of a unit in flight.
 using CorruptFn = std::function<void(std::span<uint8_t> unit)>;
-// Pre-delivery fate hook: return true to discard the unit in flight. Runs
-// after the corruption hook (corrupt-then-drop), so fault injectors compose
-// without hand-rolled plumbing in each owner.
-using DropFn = std::function<bool(std::span<const uint8_t> unit)>;
 
 // Per-link impairment policy: consulted once per transmitted unit, after the
-// corrupt/drop hooks, to decide loss, duplication, and added delay. The
+// corruption hook, to decide loss, duplication, and added delay. The
 // concrete seeded policy lives in src/fault/impairment.h; this interface
 // keeps the link layer free of any dependency on the fault module.
 class LinkImpairment {
@@ -70,8 +66,8 @@ class Wire {
   Wire(double bits_per_second, SimDuration propagation, size_t gap_bytes = 0);
 
   // Queues `unit` for transmission no earlier than `earliest` (and not
-  // before previously queued units finish), runs the corrupt, drop and
-  // impairment hooks over it, and reports its fate. Each arrival is the
+  // before previously queued units finish), runs the corruption hook and
+  // the impairment policy over it, and reports its fate. Each arrival is the
   // departure plus the propagation delay (plus any impairment delay); the
   // caller delivers the (possibly corrupted) bytes at those times. Loss
   // happens in flight: the sender pays serialization either way.
@@ -83,7 +79,6 @@ class Wire {
   SimDuration SerializationDelay(size_t bytes) const;
 
   void set_corrupt_hook(CorruptFn hook) { corrupt_ = std::move(hook); }
-  void set_drop_hook(DropFn hook) { drop_ = std::move(hook); }
 
   // `impairment` must outlive the wire (or be detached with nullptr). A null
   // policy costs one pointer test per unit — zero-overhead when off.
@@ -92,7 +87,7 @@ class Wire {
 
   uint64_t units_sent() const { return units_sent_; }
   uint64_t bytes_sent() const { return bytes_sent_; }
-  // Units consumed in flight by the drop hook or the impairment policy.
+  // Units consumed in flight by the impairment policy.
   uint64_t units_dropped() const { return units_dropped_; }
 
  private:
@@ -101,7 +96,6 @@ class Wire {
   size_t gap_bytes_;
   SimTime busy_until_;
   CorruptFn corrupt_;
-  DropFn drop_;
   LinkImpairment* impairment_ = nullptr;
   uint64_t units_sent_ = 0;
   uint64_t bytes_sent_ = 0;

@@ -89,11 +89,10 @@ constexpr bool AllDistinctNonEmpty(const std::array<std::string_view, N>& names)
 static_assert(AllDistinctNonEmpty(kLayerNames), "every TraceLayer needs a unique name");
 static_assert(AllDistinctNonEmpty(kKindNames), "every TraceEventKind needs a unique name");
 
-// One trace_event object for `ev`, no separators — shared by the full-trace
-// and anomaly exporters so both stay byte-stable and format-identical.
-// `packet_tid` places instant events (the default case): the shared packets
-// track normally, a per-flow track for congestion-era kinds.
-void AppendEventJson(std::string* out, const TraceEvent& ev, int packet_tid = kTidPackets) {
+// One trace_event object for `ev`, no separators. `packet_tid` places
+// instant events (the default case): the shared packets track normally, a
+// per-flow track for congestion-era kinds.
+void AppendEventJson(std::string* out, const TraceEvent& ev, int packet_tid) {
   char buf[256];
   const int pid = ev.host;
   switch (ev.kind) {
@@ -146,7 +145,7 @@ void AppendEventJson(std::string* out, const TraceEvent& ev, int packet_tid = kT
   }
 }
 
-// Shared process/track-name metadata prologue for both exporters.
+// Process/track-name metadata prologue: one process per host, three tracks.
 void AppendProcessMetadata(std::string* out, const std::vector<std::string>& host_names,
                            bool* first) {
   char buf[256];
@@ -196,7 +195,6 @@ void Tracer::EnableBinaryRecording() {
   if (binary_ != nullptr) {
     return;
   }
-  TCPLAT_CHECK(!flight_enabled_) << "binary recording excludes flight-recorder mode";
   TCPLAT_CHECK(events_.empty()) << "binary recording must be enabled before recording starts";
   binary_ = std::make_unique<BinaryTraceWriter>();
 }
@@ -212,25 +210,11 @@ BinaryTraceWriter* Tracer::mutable_binary_records() {
 }
 
 void Tracer::EnableFlowSampling(const FlowSampleConfig& config) {
-  TCPLAT_CHECK(!flight_enabled_) << "flow sampling excludes flight-recorder mode";
   TCPLAT_CHECK(events_.empty() && (binary_ == nullptr || binary_->count() == 0))
       << "flow sampling must be enabled before recording starts";
   TCPLAT_CHECK_GE(config.one_in, 1u);
   sampling_ = true;
   sample_ = config;
-}
-
-void Tracer::EnableFlowReservoir(uint32_t k, uint64_t seed) {
-  TCPLAT_CHECK(!flight_enabled_) << "reservoir sampling excludes flight-recorder mode";
-  TCPLAT_CHECK(binary_ == nullptr)
-      << "reservoir sampling keeps in-memory events (FinalizeReservoir prunes them)";
-  TCPLAT_CHECK(!sampling_) << "reservoir and 1-in-N flow sampling are mutually exclusive";
-  TCPLAT_CHECK(events_.empty()) << "reservoir must be enabled before recording starts";
-  TCPLAT_CHECK_GE(k, 1u);
-  sampling_ = true;  // routes commits through the chain-verdict machinery
-  reservoir_k_ = k;
-  sample_.one_in = 1;  // KeepFlow decides via the reservoir, not the bucket
-  sample_.seed = seed;
 }
 
 void Tracer::EnableTimeseries(const TimeseriesConfig& config) {
@@ -248,15 +232,6 @@ std::vector<TimeseriesPoint> Tracer::SortedTimeseriesPoints() const {
 
 std::string Tracer::TimelineCsv() const {
   return TimeseriesToCsv(SortedTimeseriesPoints(), host_names_);
-}
-
-void Tracer::EnableFlightRecorder(const FlightRecorderConfig& config) {
-  TCPLAT_CHECK(binary_ == nullptr) << "flight-recorder mode excludes binary recording";
-  TCPLAT_CHECK(!sampling_) << "flight-recorder mode excludes flow sampling";
-  TCPLAT_CHECK(events_.empty())
-      << "flight-recorder mode must be selected before recording starts";
-  flight_enabled_ = true;
-  flight_ = config;
 }
 
 size_t Tracer::ApproxMemoryBytes() const {
@@ -285,21 +260,14 @@ void Tracer::Clear() {
   deferred_events_ = 0;
   flows_seen_.clear();
   flows_kept_.clear();
-  reservoir_.clear();
   if (timeseries_ != nullptr) {
     timeseries_->Clear();
   }
   peak_bytes_ = 0;
-  ring_.clear();
-  anomalies_.clear();
-  anomalies_seen_ = 0;
-  commit_seq_ = 0;
 }
 
 void Tracer::Emit(const TraceEvent& ev) {
-  if (flight_enabled_) {
-    CommitToRing(ev);
-  } else if (binary_ != nullptr) {
+  if (binary_ != nullptr) {
     binary_->Append(ev);
   } else {
     events_.push_back(ev);
@@ -309,56 +277,12 @@ void Tracer::Emit(const TraceEvent& ev) {
 bool Tracer::KeepFlow(uint64_t raw_flow) {
   const uint64_t canonical = CanonicalFlow(raw_flow);
   flows_seen_.insert(canonical);
-  if (reservoir_k_ > 0) {
-    // Bottom-K sketch: a flow is kept while its seeded hash rank is among
-    // the K smallest seen so far. Once the reservoir is full, every insert
-    // evicts the worst rank; evicted flows' events are pruned at finalize.
-    const std::pair<uint64_t, uint64_t> entry = {Mix64(canonical ^ Mix64(sample_.seed)),
-                                                 canonical};
-    const auto [it, inserted] = reservoir_.insert(entry);
-    if (reservoir_.size() > reservoir_k_) {
-      const auto worst = std::prev(reservoir_.end());
-      flows_kept_.erase(worst->second);
-      const bool rejected_self = worst == it;
-      reservoir_.erase(worst);
-      if (rejected_self) {
-        return false;
-      }
-    }
-    flows_kept_.insert(canonical);
-    return true;
-  }
   const bool keep =
       sample_.one_in <= 1 || Mix64(canonical ^ Mix64(sample_.seed)) % sample_.one_in == 0;
   if (keep) {
     flows_kept_.insert(canonical);
   }
   return keep;
-}
-
-void Tracer::FinalizeReservoir() {
-  if (reservoir_k_ == 0) {
-    return;
-  }
-  // Evicted flows were captured while they transiently held a reservoir
-  // slot; prune their flow-identified events so the surviving capture
-  // covers exactly the final bottom-K set. Flow-agnostic causal anchors
-  // (queue hand-offs, reassembly, drops) are kept for every packet, same
-  // as 1-in-N sampling.
-  const auto pruned = [this](const TraceEvent& ev) {
-    const bool flow_kind =
-        IsFlowTrackKind(ev.kind) || ev.kind == TraceEventKind::kUserWrite ||
-        ev.kind == TraceEventKind::kUserRead || ev.kind == TraceEventKind::kSegTx ||
-        ev.kind == TraceEventKind::kSegRx || ev.kind == TraceEventKind::kRetransmit ||
-        ev.kind == TraceEventKind::kAck || ev.kind == TraceEventKind::kDelayedAck ||
-        ev.kind == TraceEventKind::kNagleHold ||
-        (ev.kind == TraceEventKind::kWakeup && ev.layer == TraceLayer::kSock);
-    if (!flow_kind || ev.flow == 0) {
-      return false;
-    }
-    return flows_kept_.count(CanonicalFlow(ev.flow)) == 0;
-  };
-  events_.erase(std::remove_if(events_.begin(), events_.end(), pruned), events_.end());
 }
 
 void Tracer::ResolveDeferred(size_t host, bool keep) {
@@ -463,10 +387,12 @@ void Tracer::CommitSlow(const TraceEvent& ev) {
       }
       break;
 
-    // Top-level syscall entries start a transmit/receive chain.
+    // Top-level syscall entries start a transmit/receive chain. An
+    // undecided prefix stays buffered rather than being discarded: write()
+    // opens kTxUser once for the syscall entry and again per chunk copy, and
+    // the entry span belongs to the chain the first chunk's segment decides.
     case TraceEventKind::kSpanBegin:
       if (ev.span == SpanId::kTxUser || ev.span == SpanId::kRxUser) {
-        ResolveDeferred(ev.host, false);  // prior chain ended undecided
         st.keep = -1;
       }
       break;
@@ -599,82 +525,6 @@ std::string Tracer::ToPerfettoJson() const {
     }
   }
 
-  out += "\n]}\n";
-  return out;
-}
-
-bool Tracer::IsTrigger(const TraceEvent& ev) const {
-  switch (ev.kind) {
-    case TraceEventKind::kRetransmit:
-      return flight_.on_retransmit;
-    case TraceEventKind::kCellDrop:
-      return flight_.on_cell_drop;
-    case TraceEventKind::kTxStall:
-      return flight_.on_tx_stall && ev.dur_ns >= flight_.tx_stall_threshold_ns;
-    case TraceEventKind::kListenOverflow:
-      return flight_.on_listen_overflow;
-    case TraceEventKind::kImpairDrop:
-      return flight_.on_impair_drop;
-    default:
-      return false;
-  }
-}
-
-void Tracer::CommitToRing(const TraceEvent& ev) {
-  ++commit_seq_;
-  ring_.push_back(ev);
-  while (ring_.size() > flight_.ring_capacity) {
-    ring_.pop_front();
-  }
-  if (!IsTrigger(ev)) {
-    return;
-  }
-  ++anomalies_seen_;
-  if (anomalies_.size() >= flight_.max_anomalies) {
-    return;
-  }
-  AnomalyRecord rec;
-  rec.trigger_seq = commit_seq_;
-  rec.trigger = ev;
-  const size_t n = std::min(ring_.size(), flight_.context_events);
-  rec.context.assign(ring_.end() - static_cast<ptrdiff_t>(n), ring_.end());
-  anomalies_.push_back(std::move(rec));
-}
-
-std::string Tracer::AnomaliesToPerfettoJson() const {
-  std::string out;
-  out += "{\"displayTimeUnit\":\"ns\",\"traceEvents\":[\n";
-  bool first = true;
-  AppendProcessMetadata(&out, host_names_, &first);
-  char buf[256];
-  // Overlapping context windows would repeat events; track the last emitted
-  // commit ordinal and skip duplicates (context seqs are contiguous and end
-  // at the trigger's).
-  uint64_t emitted_through = 0;
-  for (const AnomalyRecord& rec : anomalies_) {
-    if (!first) out += ",\n";
-    first = false;
-    std::snprintf(buf, sizeof(buf),
-                  "{\"name\":\"anomaly.%s.%s\",\"ph\":\"i\",\"s\":\"g\",\"pid\":%d,\"tid\":%d,"
-                  "\"ts\":",
-                  std::string(TraceLayerName(rec.trigger.layer)).c_str(),
-                  std::string(TraceEventKindName(rec.trigger.kind)).c_str(),
-                  static_cast<int>(rec.trigger.host), kTidPackets);
-    out += buf;
-    AppendMicros(&out, rec.trigger.ts_ns);
-    std::snprintf(buf, sizeof(buf), ",\"args\":{\"seq\":%" PRIu64 "}}", rec.trigger_seq);
-    out += buf;
-    const uint64_t first_seq = rec.trigger_seq - rec.context.size() + 1;
-    for (size_t i = 0; i < rec.context.size(); ++i) {
-      const uint64_t seq = first_seq + i;
-      if (seq <= emitted_through) {
-        continue;
-      }
-      out += ",\n";
-      AppendEventJson(&out, rec.context[i]);
-    }
-    emitted_through = rec.trigger_seq;
-  }
   out += "\n]}\n";
   return out;
 }

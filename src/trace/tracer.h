@@ -21,6 +21,12 @@
 //    accumulated by SpanTracker for that instance, so per-layer sums over a
 //    trace reproduce the tracker's totals to the nanosecond.
 //
+// One recording pipeline: every hook funnels into Commit, which passes the
+// event through at most one optional 1-in-N flow sampler and then into one
+// sink — the in-memory events() vector, or a TLBT byte stream (see
+// src/trace/binary_trace.h) that can spill sealed segments to disk. The
+// sampler works with either sink.
+//
 // Exporters: Chrome/Perfetto trace_event JSON (load at ui.perfetto.dev or
 // chrome://tracing) and a flat CSV, one row per event.
 
@@ -254,8 +260,7 @@ class Tracer {
   // Events encode straight into a compact append-only byte stream (see
   // src/trace/binary_trace.h) instead of the events() vector; exporters and
   // the causal-graph consumers reach the events by decoding the stream.
-  // Must be selected before anything is recorded; mutually exclusive with
-  // flight-recorder mode (checked).
+  // Must be selected before anything is recorded.
 
   void EnableBinaryRecording();
   bool binary_recording() const { return binary_ != nullptr; }
@@ -274,25 +279,12 @@ class Tracer {
   // discarded wholesale with the chain's verdict. Span self-time totals are
   // NOT preserved for unsampled flows; sampled traces feed attribution, not
   // the exact span accounting. Must be selected before anything is
-  // recorded; mutually exclusive with flight-recorder mode (checked).
+  // recorded (checked).
 
   void EnableFlowSampling(const FlowSampleConfig& config);
   bool flow_sampling() const { return sampling_; }
   uint32_t sample_one_in() const { return sampling_ ? sample_.one_in : 1; }
 
-  // Reservoir variant for open-ended flow populations: keeps the K flows
-  // whose seeded canonical-flow hash ranks lowest (a bottom-K sketch — the
-  // deterministic equivalent of reservoir sampling, sharing the 1-in-N
-  // sampler's verdict machinery). Verdicts are transient while the run is
-  // live (a better-ranked late flow evicts a worse one); FinalizeReservoir
-  // prunes evicted flows' events so the surviving capture covers exactly
-  // the final bottom-K set, which is a pure function of the flows seen —
-  // deterministic across runs and thread counts. In-memory
-  // event recording only (excludes binary and flight-recorder modes).
-  void EnableFlowReservoir(uint32_t k, uint64_t seed);
-  bool flow_reservoir() const { return reservoir_k_ > 0; }
-  uint32_t reservoir_k() const { return reservoir_k_; }
-  void FinalizeReservoir();
   // Canonical flow ids observed on flow-identifying events / kept by the
   // sampler. seen/kept sizes give the blame scale factor.
   const std::set<uint64_t>& flows_seen() const { return flows_seen_; }
@@ -308,54 +300,9 @@ class Tracer {
   size_t ApproxMemoryBytes() const;
   size_t peak_memory_bytes() const;
 
-  // Drops recorded events (full-trace, binary, sampler and flight-recorder
-  // state); registered hosts and the recording mode are kept.
+  // Drops recorded events (full-trace, binary and sampler state);
+  // registered hosts and the recording mode are kept.
   void Clear();
-
-  // ---- Anomaly flight recorder ------------------------------------------
-  //
-  // Production-style alternative to full recording: committed events go to a
-  // bounded ring instead of events(), and whenever a trigger event commits
-  // (retransmit, cell drop, FIFO stall over a threshold, listen-queue
-  // overflow, impairment drop) the tail of the ring is snapped into an
-  // AnomalyRecord. Memory stays O(ring_capacity + captured anomalies)
-  // however long the run is, and since everything captured is pure
-  // simulated-time state the dumps are byte-identical across TCPLAT_JOBS
-  // at a fixed seed.
-
-  struct FlightRecorderConfig {
-    size_t ring_capacity = 4096;  // events retained while armed
-    size_t context_events = 64;   // events per anomaly dump (incl. trigger)
-    size_t max_anomalies = 64;    // later triggers count but are not captured
-    int64_t tx_stall_threshold_ns = 0;  // kTxStall triggers when dur_ns >= this
-    bool on_retransmit = true;
-    bool on_cell_drop = true;
-    bool on_tx_stall = true;
-    bool on_listen_overflow = true;
-    bool on_impair_drop = false;
-  };
-
-  struct AnomalyRecord {
-    uint64_t trigger_seq = 0;         // ordinal among all committed events
-    TraceEvent trigger;
-    std::vector<TraceEvent> context;  // ring tail, oldest first, ends at trigger
-  };
-
-  // Switches this tracer into flight-recorder mode. Mutually exclusive with
-  // full recording: committed events feed the ring, not events(), so it must
-  // be selected before anything is recorded and cannot be combined with
-  // binary recording or flow sampling (all checked — a tracer that silently
-  // split its stream between events() and the ring would corrupt both).
-  void EnableFlightRecorder(const FlightRecorderConfig& config);
-  bool flight_recorder_enabled() const { return flight_enabled_; }
-  const std::vector<AnomalyRecord>& anomalies() const { return anomalies_; }
-  // Total trigger events observed, including ones past max_anomalies.
-  uint64_t anomalies_seen() const { return anomalies_seen_; }
-
-  // Chrome trace_event JSON for the captured anomalies: one instant marker
-  // per trigger plus the surrounding context events (de-duplicated across
-  // overlapping windows).
-  std::string AnomaliesToPerfettoJson() const;
 
   // Per-span self-time sums for `host`, in nanoseconds, counting only events
   // after that host's last kSpanReset marker: kSpanEnd contributes self_ns,
@@ -372,22 +319,20 @@ class Tracer {
   std::string ToCsv() const;
 
  private:
-  // Every Record* method funnels here so the sampler / binary encoder /
-  // flight recorder can divert the stream without touching the hook sites.
-  // The plain full-recording path stays a single branch + push_back.
+  // Every Record* method funnels here so the sampler / binary encoder can
+  // divert the stream without touching the hook sites. The plain
+  // full-recording path stays a single branch + push_back.
   void Commit(const TraceEvent& ev) {
-    if (!sampling_ && !flight_enabled_ && binary_ == nullptr) {
+    if (!sampling_ && binary_ == nullptr) {
       events_.push_back(ev);
       return;
     }
     CommitSlow(ev);
   }
   void CommitSlow(const TraceEvent& ev);
-  // Writes `ev` to the active sink (events() / binary stream / ring),
-  // after any sampling verdict has been applied.
+  // Writes `ev` to the active sink (events() / binary stream), after any
+  // sampling verdict has been applied.
   void Emit(const TraceEvent& ev);
-  void CommitToRing(const TraceEvent& ev);
-  bool IsTrigger(const TraceEvent& ev) const;
 
   bool KeepFlow(uint64_t raw_flow);
   void ResolveDeferred(size_t host, bool keep);
@@ -412,21 +357,10 @@ class Tracer {
   std::set<uint64_t> flows_seen_;
   std::set<uint64_t> flows_kept_;
 
-  // Reservoir (bottom-K) state: the kept set ordered by hash rank, so the
-  // worst-ranked member is O(log K) to evict.
-  uint32_t reservoir_k_ = 0;
-  std::set<std::pair<uint64_t, uint64_t>> reservoir_;  // (rank, canonical)
-
   std::unique_ptr<TimeseriesSampler> timeseries_;
 
   size_t peak_bytes_ = 0;
 
-  bool flight_enabled_ = false;
-  FlightRecorderConfig flight_;
-  std::deque<TraceEvent> ring_;
-  uint64_t commit_seq_ = 0;
-  uint64_t anomalies_seen_ = 0;
-  std::vector<AnomalyRecord> anomalies_;
 };
 
 // Writes `contents` to `path`; returns false (after perror) on failure.

@@ -60,47 +60,4 @@ std::vector<FlowSpec> BuildIncast(int flows, int clients, size_t size, int itera
   return BuildClosedLoop(config);
 }
 
-std::vector<FlowSpec> BuildAllToAll(int clients, int servers, size_t size, int iterations,
-                                    int warmup) {
-  TCPLAT_CHECK_GT(clients, 0);
-  TCPLAT_CHECK_GT(servers, 0);
-  std::vector<FlowSpec> specs;
-  specs.reserve(static_cast<size_t>(clients) * static_cast<size_t>(servers));
-  for (int c = 0; c < clients; ++c) {
-    for (int s = 0; s < servers; ++s) {
-      FlowSpec spec;
-      spec.client = c;
-      spec.server = s;
-      spec.size = size;
-      spec.iterations = iterations;
-      spec.warmup = warmup;
-      specs.push_back(spec);
-    }
-  }
-  return specs;
-}
-
-std::vector<FlowSpec> BuildProbeMix(const ProbeMixConfig& config) {
-  TCPLAT_CHECK_GE(config.bulk_flows, 0);
-  std::vector<FlowSpec> specs;
-  FlowSpec probe;
-  probe.client = 0;
-  probe.server = 0;
-  probe.size = config.probe_size;
-  probe.iterations = config.probe_iterations;
-  probe.warmup = config.probe_warmup;
-  specs.push_back(probe);
-  for (int f = 0; f < config.bulk_flows; ++f) {
-    FlowSpec bulk;
-    bulk.client = f % config.clients;
-    bulk.server = f % config.servers;
-    bulk.size = config.bulk_size;
-    bulk.iterations = config.bulk_iterations;
-    bulk.warmup = 0;
-    bulk.verify_data = false;
-    specs.push_back(bulk);
-  }
-  return specs;
-}
-
 }  // namespace tcplat

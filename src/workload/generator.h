@@ -8,9 +8,7 @@
 //    (exponential interarrivals from src/base/random); offered load is set
 //    by the arrival rate regardless of how the system keeps up.
 //
-// Plus composable mixes: incast fan-in (every client hammers one server),
-// all-to-all, and background bulk under a foreground latency probe (the
-// many-flow version of bench/ablation_crosstraffic).
+// Plus incast fan-in (every client hammers one server).
 
 #ifndef SRC_WORKLOAD_GENERATOR_H_
 #define SRC_WORKLOAD_GENERATOR_H_
@@ -56,26 +54,6 @@ std::vector<FlowSpec> BuildOpenLoop(const OpenLoopConfig& config);
 // converging on server 0.
 std::vector<FlowSpec> BuildIncast(int flows, int clients, size_t size, int iterations,
                                   int warmup);
-
-// All-to-all: one closed-loop flow for every (client, server) pair.
-std::vector<FlowSpec> BuildAllToAll(int clients, int servers, size_t size, int iterations,
-                                    int warmup);
-
-struct ProbeMixConfig {
-  int bulk_flows = 4;
-  int clients = 1;
-  int servers = 1;
-  size_t bulk_size = 8000;  // background bulk echo size
-  int bulk_iterations = 100;
-  size_t probe_size = 4;  // foreground latency probe
-  int probe_iterations = 200;
-  int probe_warmup = 32;
-};
-
-// Background bulk cross-traffic under a foreground latency probe. The probe
-// is flow 0 (so it owns the measured region and the classic echo port);
-// the bulk flows run unwarmed and untimed-by-convention alongside it.
-std::vector<FlowSpec> BuildProbeMix(const ProbeMixConfig& config);
 
 }  // namespace tcplat
 

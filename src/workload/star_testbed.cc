@@ -101,9 +101,6 @@ void StarTestbed::RunToCompletion() {
   if (atm_switch_ != nullptr) {
     CheckCellConservation();
   }
-  if (tracer_ != nullptr) {
-    tracer_->FinalizeReservoir();
-  }
 }
 
 void StarTestbed::CheckCellConservation() const {
@@ -128,7 +125,6 @@ void StarTestbed::CheckCellConservation() const {
 }
 
 void StarTestbed::AttachTracer(Tracer* tracer) {
-  tracer_ = tracer;
   for (auto& host : hosts_) {
     host->AttachTracer(tracer);
   }

@@ -71,7 +71,7 @@ class StarTestbed {
   // Drains the event queue, then CHECKs the switch's cell conservation at
   // quiescence: every configured VC's occupancy is back to 0, and every
   // cell an adapter sent was switched, dropped by the VC buffer policy, or
-  // had no route. Finalizes the attached tracer's reservoir sample.
+  // had no route.
   void RunToCompletion();
 
   int clients() const { return config_.clients; }
@@ -121,8 +121,6 @@ class StarTestbed {
   std::vector<std::unique_ptr<EtherNetIf>> ether_ifs_;
 
   std::vector<std::unique_ptr<TcpStack>> tcps_;
-
-  Tracer* tracer_ = nullptr;
 };
 
 }  // namespace tcplat

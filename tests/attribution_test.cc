@@ -1,10 +1,11 @@
 // Critical-path attribution contract tests.
 //
 //  * A traced 1x1 star run decomposes every round trip into stages that
-//    telescope exactly to the RTT, the percentile picks match LatencyStats,
-//    and PartitionSpans reproduces SpanSelfTotalsNanos to the nanosecond.
-//  * The flight recorder fires exactly once per injected impairment drop.
-//  * Anomaly dumps and blame reports are byte-identical serial vs 4 workers.
+//    telescope exactly to the RTT, and the percentile picks match
+//    LatencyStats.
+//  * Blame reports are byte-identical serial vs 4 workers.
+//  * A 1-in-N flow-sampled trace attributes each kept flow's round trips
+//    exactly as the full trace does.
 //  * LatencyStats::Percentiles()/PercentileGap() match a hand-computed
 //    distribution.
 
@@ -18,7 +19,6 @@
 #include <vector>
 
 #include "src/exec/executor.h"
-#include "src/fault/impairment.h"
 #include "src/trace/attribution.h"
 #include "src/trace/binary_trace.h"
 #include "src/trace/causal_graph.h"
@@ -26,10 +26,7 @@
 #include "src/trace/stream_attribution.h"
 #include "src/trace/tracer.h"
 #include "src/workload/capacity.h"
-#include "src/workload/flow_driver.h"
-#include "src/workload/generator.h"
 #include "src/workload/interactive.h"
-#include "src/workload/star_testbed.h"
 
 namespace tcplat {
 namespace {
@@ -86,151 +83,6 @@ TEST(Attribution, OneFlowStagesTelescopeAndMatchLatencyStats) {
     EXPECT_LE(std::abs(blame.lo_rtt_ns - outcome.p50.nanos()), 40) << "size " << size;
     EXPECT_LE(std::abs(blame.hi_rtt_ns - outcome.p99.nanos()), 40) << "size " << size;
     EXPECT_EQ(blame.explained_pct, 100.0);
-  }
-}
-
-// PartitionSpans is a partition of the exact event set SpanSelfTotalsNanos
-// sums, so residual + per-window contributions must equal it to 0 ns for
-// every span on every host.
-TEST(Attribution, SpanPartitionReproducesSpanTotalsExactly) {
-  const CapacityCell cell = OneFlowCell(1400);
-  Tracer tracer;
-  RunCapacityCell(cell, &tracer);
-
-  const CausalGraph graph = CausalGraph::Build(tracer);
-  AttributionOptions options;
-  options.message_bytes = cell.size;
-  options.warmup_windows = cell.warmup;
-  const AttributionResult result = AttributeRtts(tracer, graph, options);
-  ASSERT_FALSE(result.windows.empty());
-
-  for (uint8_t host = 0; host < tracer.host_names().size(); ++host) {
-    const auto totals = tracer.SpanSelfTotalsNanos(host);
-    const SpanWindowPartition partition = PartitionSpans(tracer, host, result.windows);
-    ASSERT_EQ(partition.per_window.size(), result.windows.size());
-    for (size_t s = 0; s < static_cast<size_t>(SpanId::kCount); ++s) {
-      int64_t sum = partition.residual[s];
-      for (const auto& per_window : partition.per_window) {
-        sum += per_window[s];
-      }
-      EXPECT_EQ(sum, totals[s]) << tracer.host_names()[host] << " span " << s;
-    }
-  }
-}
-
-TEST(Attribution, MeasuredSpanTimeLandsInsideTheWindows) {
-  const CapacityCell cell = OneFlowCell(1400);
-  Tracer tracer;
-  RunCapacityCell(cell, &tracer);
-  const CausalGraph graph = CausalGraph::Build(tracer);
-  AttributionOptions options;
-  options.message_bytes = cell.size;
-  options.warmup_windows = cell.warmup;
-  const AttributionResult result = AttributeRtts(tracer, graph, options);
-
-  // The client's TCP output work happens while a round trip is open, so a
-  // healthy share of it must land inside windows rather than the residual.
-  const SpanWindowPartition partition = PartitionSpans(tracer, 0, result.windows);
-  const size_t tx_tcp = static_cast<size_t>(SpanId::kTxTcpSegment);
-  int64_t in_windows = 0;
-  for (const auto& per_window : partition.per_window) {
-    in_windows += per_window[tx_tcp];
-  }
-  EXPECT_GT(in_windows, 0);
-}
-
-// --- Flight recorder ------------------------------------------------------
-
-struct ImpairedRunArtifacts {
-  uint64_t anomalies_seen = 0;
-  uint64_t drops_injected = 0;
-  size_t captured = 0;
-  std::string anomaly_json;
-};
-
-ImpairedRunArtifacts RunImpairedFlightRecorder() {
-  StarTestbedConfig star_cfg;
-  star_cfg.clients = 2;
-  star_cfg.servers = 1;
-  StarTestbed star(star_cfg);
-
-  Tracer tracer;
-  star.AttachTracer(&tracer);
-  const uint8_t link_id = tracer.RegisterHost("switch-link");
-
-  Tracer::FlightRecorderConfig frc;
-  frc.context_events = 32;
-  frc.on_retransmit = false;  // count ONLY the injected drops
-  frc.on_cell_drop = false;
-  frc.on_tx_stall = false;
-  frc.on_listen_overflow = false;
-  frc.on_impair_drop = true;
-  tracer.EnableFlightRecorder(frc);
-
-  ImpairmentConfig imp;
-  imp.drop_prob = 2e-3;
-  imp.seed = 11;
-  ImpairmentPolicy policy(imp);
-  policy.AttachTracer(&tracer, link_id);
-  star.atm_switch()->set_output_impairment(&policy);
-
-  ClosedLoopConfig cfg;
-  cfg.flows = 4;
-  cfg.clients = 2;
-  cfg.servers = 1;
-  cfg.size = 512;
-  cfg.iterations = 8;
-  cfg.warmup = 1;
-  std::vector<FlowSpec> specs = BuildClosedLoop(cfg);
-  for (FlowSpec& s : specs) {
-    s.tolerate_errors = true;
-  }
-  RunWorkload(star, specs);
-  star.atm_switch()->set_output_impairment(nullptr);
-
-  ImpairedRunArtifacts out;
-  out.anomalies_seen = tracer.anomalies_seen();
-  out.drops_injected = policy.stats().dropped;
-  out.captured = tracer.anomalies().size();
-  out.anomaly_json = tracer.AnomaliesToPerfettoJson();
-  return out;
-}
-
-// With only the impair-drop trigger armed, the recorder must fire exactly
-// once per drop the policy injected — no misses, no double counting.
-TEST(FlightRecorder, FiresExactlyOncePerInjectedDrop) {
-  const ImpairedRunArtifacts run = RunImpairedFlightRecorder();
-  ASSERT_GT(run.drops_injected, 0u) << "impairment config injected nothing; test is vacuous";
-  EXPECT_EQ(run.anomalies_seen, run.drops_injected);
-  EXPECT_EQ(run.captured, run.anomalies_seen);  // under max_anomalies here
-  for (uint64_t i = 0; i < run.captured; ++i) {
-    EXPECT_NE(run.anomaly_json.find("anomaly.link.impair.drop"), std::string::npos);
-  }
-}
-
-// The anomaly dump is pure simulated-time state: running the same scenario
-// under a serial and a 4-worker executor must give byte-identical JSON.
-TEST(FlightRecorder, AnomalyDumpByteIdenticalSerialVsParallel) {
-  auto run_on = [](Executor& exec) {
-    std::vector<std::function<std::string()>> thunks;
-    for (int i = 0; i < 3; ++i) {
-      thunks.emplace_back([] { return RunImpairedFlightRecorder().anomaly_json; });
-    }
-    std::vector<std::string> out;
-    for (auto& outcome : exec.Run<std::string>(thunks)) {
-      EXPECT_TRUE(outcome.ok()) << outcome.error;
-      out.push_back(outcome.ok() ? *outcome.value : outcome.error);
-    }
-    return out;
-  };
-  Executor serial(1);
-  Executor parallel(4);
-  const std::vector<std::string> a = run_on(serial);
-  const std::vector<std::string> b = run_on(parallel);
-  ASSERT_EQ(a.size(), b.size());
-  for (size_t i = 0; i < a.size(); ++i) {
-    EXPECT_FALSE(a[i].empty());
-    EXPECT_EQ(a[i], b[i]) << "anomaly dump " << i << " diverged between 1 and 4 workers";
   }
 }
 
@@ -478,6 +330,43 @@ TEST(Attribution, BinaryRoundTripPreservesWindows) {
   ASSERT_EQ(from_binary.windows.size(), from_vector.windows.size());
   for (size_t i = 0; i < from_vector.windows.size(); ++i) {
     EXPECT_TRUE(SameWindow(from_vector.windows[i], from_binary.windows[i])) << "window " << i;
+  }
+}
+
+// A 1-in-N sampled trace keeps every event of a kept flow's chains, so each
+// kept flow's round trips must come out exactly as in the full trace: same
+// window bounds (the client write-syscall entry included) and the same
+// stage decomposition to the nanosecond.
+TEST(Attribution, SampledTraceReproducesKeptFlowWindowsExactly) {
+  const CapacityCell cell = EightFlowCell();
+  AttributionOptions options;
+  options.message_bytes = cell.size;
+  options.warmup_windows = cell.warmup;
+
+  Tracer full;
+  RunCapacityCell(cell, &full);
+  const std::vector<RttWindow> full_windows =
+      SortedWindows(AttributeRtts(full, CausalGraph::Build(full), options).windows);
+
+  for (uint32_t one_in : {2u, 4u, 8u}) {
+    Tracer sampled;
+    FlowSampleConfig sample;
+    sample.one_in = one_in;
+    sample.seed = cell.seed;
+    sampled.EnableFlowSampling(sample);
+    RunCapacityCell(cell, &sampled);
+    ASSERT_FALSE(sampled.flows_kept().empty()) << "1-in-" << one_in << " kept no flow";
+    const std::vector<RttWindow> windows =
+        AttributeRtts(sampled, CausalGraph::Build(sampled), options).windows;
+    EXPECT_EQ(windows.size(), sampled.flows_kept().size() * static_cast<size_t>(cell.iterations))
+        << "1-in-" << one_in;
+    for (const RttWindow& w : windows) {
+      const auto match = std::find_if(full_windows.begin(), full_windows.end(),
+                                      [&](const RttWindow& f) { return SameWindow(f, w); });
+      EXPECT_NE(match, full_windows.end())
+          << "1-in-" << one_in << ": flow " << w.flow << " window [" << w.start_ns << ", "
+          << w.end_ns << "] differs from the full trace";
+    }
   }
 }
 

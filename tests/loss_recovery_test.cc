@@ -1,9 +1,10 @@
 // Recovery-mechanics tests: pin down *how* the stack repairs specific,
-// surgically injected losses on the Ethernet testbed. The drop hook parses
-// raw frames off the bus, so each test removes exactly the unit it means to
-// (first data segment, Nth retransmission, first pure ACK) and then asserts
-// the recovery path the BSD code is supposed to take — rexmt timer with
-// exponential backoff, cumulative-ACK repair, duplicate/reorder immunity.
+// surgically injected losses on the Ethernet testbed. A DropIf impairment
+// parses raw frames off the bus, so each test removes exactly the unit it
+// means to (first data segment, Nth retransmission, first pure ACK) and then
+// asserts the recovery path the BSD code is supposed to take — rexmt timer
+// with exponential backoff, cumulative-ACK repair, duplicate/reorder
+// immunity.
 
 #include <gtest/gtest.h>
 
@@ -15,11 +16,12 @@
 #include "src/core/testbed.h"
 #include "src/fault/impairment.h"
 #include "src/tcp/segment_tap.h"
+#include "tests/drop_if.h"
 
 namespace tcplat {
 namespace {
 
-// Fields of one Ethernet frame as seen by the bus drop hook.
+// Fields of one Ethernet frame as seen by the bus drop predicate.
 struct FrameView {
   bool is_tcp = false;
   bool from_client = false;
@@ -78,7 +80,7 @@ RpcOptions EchoOptions(size_t size, int iterations) {
 TEST(LossRecovery, SingleDataSegmentLossRecoversByRexmtTimer) {
   Testbed tb(EtherConfig());
   int dropped = 0;
-  tb.ether_segment()->set_drop_hook([&](std::span<const uint8_t> f) {
+  DropIf drop([&](std::span<const uint8_t> f) {
     const FrameView v = ParseFrame(f);
     if (v.is_tcp && v.from_client && v.payload > 0 && dropped == 0) {
       ++dropped;
@@ -86,6 +88,7 @@ TEST(LossRecovery, SingleDataSegmentLossRecoversByRexmtTimer) {
     }
     return false;
   });
+  tb.ether_segment()->set_impairment(&drop);
 
   const RpcResult r = RunRpcBenchmark(tb, EchoOptions(512, 3));
   EXPECT_EQ(dropped, 1);
@@ -107,7 +110,7 @@ TEST(LossRecovery, RepeatedLossBacksOffExponentially) {
   // Swallow the first three transmissions of the first data segment; the
   // fourth attempt goes through.
   int dropped = 0;
-  tb.ether_segment()->set_drop_hook([&](std::span<const uint8_t> f) {
+  DropIf drop([&](std::span<const uint8_t> f) {
     const FrameView v = ParseFrame(f);
     if (v.is_tcp && v.from_client && v.payload > 0 && dropped < 3) {
       ++dropped;
@@ -115,6 +118,7 @@ TEST(LossRecovery, RepeatedLossBacksOffExponentially) {
     }
     return false;
   });
+  tb.ether_segment()->set_impairment(&drop);
 
   const RpcResult r = RunRpcBenchmark(tb, EchoOptions(512, 2));
   EXPECT_EQ(dropped, 3);
@@ -161,7 +165,7 @@ TEST(LossRecovery, LostAckRepairedByNextCumulativeAck) {
     Testbed tb(EtherConfig());
     int seen = 0;
     int dropped = 0;
-    tb.ether_segment()->set_drop_hook([&](std::span<const uint8_t> f) {
+    DropIf drop([&](std::span<const uint8_t> f) {
       const FrameView v = ParseFrame(f);
       if (v.is_tcp && v.from_client && v.payload == 0 && v.tcp_flags == kFlagAck) {
         if (seen++ == drop_index) {
@@ -171,6 +175,7 @@ TEST(LossRecovery, LostAckRepairedByNextCumulativeAck) {
       }
       return false;
     });
+    tb.ether_segment()->set_impairment(&drop);
     RpcResult r = RunRpcBenchmark(tb, EchoOptions(8000, 3));
     EXPECT_EQ(dropped, drop_index >= 0 ? 1 : 0);
     return r;
@@ -189,7 +194,7 @@ TEST(LossRecovery, LostAckRepairedByNextCumulativeAck) {
 TEST(LossRecovery, SynLossRecoversAndConnects) {
   Testbed tb(EtherConfig());
   int dropped = 0;
-  tb.ether_segment()->set_drop_hook([&](std::span<const uint8_t> f) {
+  DropIf drop([&](std::span<const uint8_t> f) {
     const FrameView v = ParseFrame(f);
     if (v.is_tcp && v.from_client && (v.tcp_flags & kFlagSyn) != 0 && dropped == 0) {
       ++dropped;
@@ -197,6 +202,7 @@ TEST(LossRecovery, SynLossRecoversAndConnects) {
     }
     return false;
   });
+  tb.ether_segment()->set_impairment(&drop);
 
   const RpcResult r = RunRpcBenchmark(tb, EchoOptions(512, 2));
   EXPECT_EQ(dropped, 1);

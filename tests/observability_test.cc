@@ -1,22 +1,23 @@
 // End-to-end tests for the observability subsystem on a full testbed run:
 // trace coverage, losslessness against the SpanTracker aggregates,
 // fixed-seed byte-determinism (serial and under the parallel executor),
-// registry-backed stats views, and the netstat-style report.
+// and registry-backed stats views (TCP, IP, UDP, mbuf).
 
 #include <gtest/gtest.h>
 
 #include <cstdlib>
 #include <functional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/core/rpc_benchmark.h"
-#include "src/core/stats_report.h"
 #include "src/core/testbed.h"
 #include "src/exec/executor.h"
 #include "src/os/task.h"
-#include "src/udp/udp.h"
+#include "src/trace/metrics.h"
 #include "src/trace/tracer.h"
+#include "src/udp/udp.h"
 
 namespace tcplat {
 namespace {
@@ -38,6 +39,17 @@ TracedEcho RunTracedEcho(size_t size, int iterations = 30) {
   opt.warmup = 8;
   RunRpcBenchmark(tb, opt);
   return TracedEcho{tracer.ToPerfettoJson(), tracer.ToCsv(), tracer.events().size()};
+}
+
+// Value of the registered metric `name`; fails the test when absent.
+int64_t MetricValue(const MetricsRegistry& m, std::string_view name) {
+  for (const MetricsRegistry::Sample& s : m.Snapshot()) {
+    if (s.name == name) {
+      return s.value;
+    }
+  }
+  ADD_FAILURE() << "metric not registered: " << name;
+  return -1;
 }
 
 TEST(Observability, TracedRunRecordsEveryLayer) {
@@ -162,6 +174,11 @@ TEST(Observability, MetricsViewsFollowTheRun) {
     }
   }
   EXPECT_TRUE(saw_ipq);
+
+  // A clean run returns every mbuf: the in-use gauge is back at zero.
+  for (Host* host : {&tb.client_host(), &tb.server_host()}) {
+    EXPECT_EQ(MetricValue(host->metrics(), "mbuf.in_use"), 0) << host->name();
+  }
 }
 
 SimTask SendOneDatagram(UdpSocket* sock) {
@@ -170,7 +187,7 @@ SimTask SendOneDatagram(UdpSocket* sock) {
   co_return;
 }
 
-TEST(Observability, HostReportIncludesUdp) {
+TEST(Observability, UdpCountersAreRegistryViews) {
   TestbedConfig cfg;
   Testbed tb(cfg);
   UdpSocket* client = tb.client_udp().CreateSocket(7000);
@@ -178,15 +195,10 @@ TEST(Observability, HostReportIncludesUdp) {
   tb.client_host().Spawn("udp-send", SendOneDatagram(client));
   tb.sim().RunToCompletion();
 
-  const std::string report = DumpTestbedReport(tb);
-  EXPECT_NE(report.find("udp:"), std::string::npos);
-  EXPECT_NE(report.find("datagrams sent"), std::string::npos);
-  EXPECT_NE(report.find("datagrams received"), std::string::npos);
-
-  const std::string host_report =
-      DumpHostReport("client", tb.client_tcp().stats(), tb.client_ip().stats(),
-                     tb.client_udp().stats(), tb.client_host().pool().stats());
-  EXPECT_NE(host_report.find("udp:"), std::string::npos);
+  EXPECT_EQ(MetricValue(tb.client_host().metrics(), "udp.datagrams_sent"), 1);
+  EXPECT_EQ(MetricValue(tb.server_host().metrics(), "udp.datagrams_received"), 1);
+  EXPECT_NE(tb.client_host().metrics().ToCsv().find("udp.datagrams_sent,counter,1\n"),
+            std::string::npos);
 }
 
 }  // namespace

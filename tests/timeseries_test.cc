@@ -4,8 +4,7 @@
 // samples land exactly on the discontinuities they mark (summing kTcpRtoFire
 // edges reconstructs rexmt_stall_ns to the nanosecond, loss-enter/exit pairs
 // carry the exact peak and deflated window), mid-run TLBT disk spill
-// reproduces the unspilled stream byte for byte, and reservoir flow sampling
-// keeps the same bottom-K set run to run. The bench
+// reproduces the unspilled stream byte for byte. The bench
 // self-checks (bench/congestion --timeline, bench/observability_selfcheck)
 // exercise the same paths at full scale; these tests pin the invariants on
 // cells small enough for the tier-1 suite.
@@ -191,29 +190,6 @@ TEST(Timeseries, SpilledBinaryTraceMatchesResidentByteForByte) {
 
   ASSERT_FALSE(resident_blob.empty());
   EXPECT_EQ(resident_blob, spilled_blob);
-}
-
-// Reservoir flow sampling (bottom-K over seeded per-flow hashes) keeps the
-// same flows and yields the same pruned event stream across repeat runs.
-TEST(Timeseries, ReservoirKeptSetAndCsvAreDeterministic) {
-  auto run_reservoir = [] {
-    CapacityCell cell = SmallCapacityCell();
-    Tracer tracer;
-    tracer.EnableFlowReservoir(3, cell.seed);
-    RunCapacityCell(cell, &tracer);
-    return std::make_pair(
-        std::vector<uint64_t>(tracer.flows_kept().begin(),
-                              tracer.flows_kept().end()),
-        tracer.ToCsv());
-  };
-
-  const auto first = run_reservoir();
-  EXPECT_EQ(first.first.size(), 3u);
-  ASSERT_FALSE(first.second.empty());
-
-  const auto repeat = run_reservoir();
-  EXPECT_EQ(first.first, repeat.first);
-  EXPECT_EQ(first.second, repeat.second);
 }
 
 }  // namespace

@@ -10,6 +10,7 @@
 #include "src/link/wire.h"
 #include "src/net/byte_order.h"
 #include "src/net/wire.h"
+#include "tests/drop_if.h"
 
 namespace tcplat {
 namespace {
@@ -234,9 +235,10 @@ TEST(Wire, DeliversExactBytesAndCorruptHookApplies) {
   EXPECT_EQ(wire.units_sent(), 2u);
 }
 
-TEST(Wire, DropHookLosesTheUnitInFlight) {
+TEST(Wire, DroppedUnitIsLostInFlight) {
   Wire wire(8e6, SimDuration::FromNanos(300));
-  wire.set_drop_hook([](std::span<const uint8_t>) { return true; });
+  DropIf drop_all([](std::span<const uint8_t>) { return true; });
+  wire.set_impairment(&drop_all);
   std::vector<uint8_t> unit(10, 0);
   const WireFate fate = wire.Transmit(SimTime(), unit);
   // The sender still paid serialization; nothing arrives.
