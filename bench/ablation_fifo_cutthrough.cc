@@ -20,8 +20,8 @@ namespace {
 RpcResult Measure(bool cut_through, size_t size) {
   TestbedConfig cfg;
   Testbed tb(cfg);
-  tb.client_adapter()->set_cut_through(cut_through);
-  tb.server_adapter()->set_cut_through(cut_through);
+  tb.adapter(0).set_cut_through(cut_through);
+  tb.adapter(1).set_cut_through(cut_through);
   RpcOptions opt;
   opt.size = size;
   opt.iterations = 100;

@@ -2,7 +2,7 @@
 // into the many-flow regime of the related ATM multiplexing work.
 //
 // Grids of (flow count x topology x stack config) cells run on the
-// parallel executor; each cell builds a fresh StarTestbed, drives its
+// parallel executor; each cell builds a fresh switched Testbed, drives its
 // workload to completion, and reduces per-flow RTT stats to offered-load
 // vs p50/p99 rows. Output contains only simulated quantities, so it is
 // byte-identical across TCPLAT_JOBS settings and repeated runs at a fixed

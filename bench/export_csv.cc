@@ -86,8 +86,8 @@ void Run() {
       cfg.tcp.header_prediction = c.prediction;
       Testbed tb(cfg);
       if (c.dma && c.net == NetworkKind::kAtm) {
-        tb.client_atm()->set_dma(true);
-        tb.server_atm()->set_dma(true);
+        tb.atm_netif(0).set_dma(true);
+        tb.atm_netif(1).set_dma(true);
       }
       RpcOptions opt;
       opt.size = size;

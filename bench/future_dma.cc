@@ -19,8 +19,8 @@ double MeasureRtt(bool dma, ChecksumMode mode, size_t size) {
   TestbedConfig cfg;
   cfg.tcp.checksum = mode;
   Testbed tb(cfg);
-  tb.client_atm()->set_dma(dma);
-  tb.server_atm()->set_dma(dma);
+  tb.atm_netif(0).set_dma(dma);
+  tb.atm_netif(1).set_dma(dma);
   RpcOptions opt;
   opt.size = size;
   opt.iterations = 150;

@@ -34,7 +34,6 @@
 #include "src/trace/tracer.h"
 #include "src/workload/flow_driver.h"
 #include "src/workload/generator.h"
-#include "src/workload/star_testbed.h"
 
 namespace tcplat {
 namespace {
@@ -258,10 +257,10 @@ void Table7() {
 // would forfeit, and pins the registry views to the live TcpStats structs.
 void HostCounters() {
   std::printf("\n## Host counters — TCP recovery under 0.2%% cell loss\n\n");
-  StarTestbedConfig star_cfg;
+  TestbedConfig star_cfg;
   star_cfg.clients = 2;
   star_cfg.servers = 1;
-  StarTestbed star(star_cfg);
+  Testbed star(star_cfg);
 
   ImpairmentConfig imp;
   imp.drop_prob = 2e-3;

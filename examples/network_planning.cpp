@@ -33,8 +33,8 @@ double Rtt(const Deployment& d, size_t size) {
   cfg.tcp.checksum = d.checksum;
   Testbed tb(cfg);
   if (d.dma && d.network == NetworkKind::kAtm) {
-    tb.client_atm()->set_dma(true);
-    tb.server_atm()->set_dma(true);
+    tb.atm_netif(0).set_dma(true);
+    tb.atm_netif(1).set_dma(true);
   }
   RpcOptions opt;
   opt.size = size;

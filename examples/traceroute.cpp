@@ -11,7 +11,7 @@
 #include <cstdio>
 #include <vector>
 
-#include "src/core/routed_testbed.h"
+#include "src/core/testbed.h"
 #include "src/icmp/icmp.h"
 #include "src/os/task.h"
 
@@ -19,14 +19,14 @@ using namespace tcplat;
 
 namespace {
 
-SimTask PingAndTrace(RoutedTestbed* net, IcmpStack* icmp, bool* done) {
+SimTask PingAndTrace(Testbed* net, IcmpStack* icmp, bool* done) {
   Host& host = net->client_host();
   const std::vector<uint8_t> payload(56, 0x5A);
 
-  std::printf("PING %s: 56 data bytes\n", AddrToString(kRoutedServerAddr).c_str());
+  std::printf("PING %s: 56 data bytes\n", AddrToString(kServerAddr).c_str());
   for (int i = 0; i < 4; ++i) {
     const SimTime t0 = host.CurrentTime();
-    const uint16_t seq = icmp->SendEcho(kRoutedServerAddr, 1, payload);
+    const uint16_t seq = icmp->SendEcho(kServerAddr, 1, payload);
     IcmpStack::Event ev;
     while (!icmp->PollEvent(&ev)) {
       co_await icmp->WaitReadable();
@@ -37,10 +37,10 @@ SimTask PingAndTrace(RoutedTestbed* net, IcmpStack* icmp, bool* done) {
   }
 
   std::printf("\ntraceroute to %s, 8 hops max:\n",
-              AddrToString(kRoutedServerAddr).c_str());
+              AddrToString(kServerAddr).c_str());
   for (uint8_t ttl = 1; ttl <= 8; ++ttl) {
     const SimTime t0 = host.CurrentTime();
-    icmp->SendEcho(kRoutedServerAddr, 2, payload, ttl);
+    icmp->SendEcho(kServerAddr, 2, payload, ttl);
     IcmpStack::Event ev;
     while (!icmp->PollEvent(&ev)) {
       co_await icmp->WaitReadable();
@@ -58,7 +58,10 @@ SimTask PingAndTrace(RoutedTestbed* net, IcmpStack* icmp, bool* done) {
 }  // namespace
 
 int main() {
-  RoutedTestbed net;
+  TestbedConfig config;
+  config.network = NetworkKind::kEthernet;
+  config.routed = true;
+  Testbed net(config);
   IcmpStack client_icmp(&net.client_ip());
   IcmpStack gateway_icmp(&net.gateway_ip());
   IcmpStack server_icmp(&net.server_ip());

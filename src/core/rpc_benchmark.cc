@@ -150,7 +150,7 @@ RpcResult RunRpcBenchmark(Testbed& testbed, const RpcOptions& options) {
   testbed.server_host().Spawn("echo-server", ServerProc(&testbed, &options, &state));
   testbed.client_host().Spawn("echo-client", ClientProc(&testbed, &options, &state));
 
-  testbed.sim().RunToCompletion();
+  testbed.RunToCompletion();
   if (options.tolerate_errors) {
     // A one-sided death can leave the peer parked on a wait channel with no
     // events pending (e.g. the client dropped after max_rexmt and the server

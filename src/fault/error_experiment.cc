@@ -31,21 +31,19 @@ ErrorExperimentResult RunErrorExperiment(const ErrorExperimentConfig& config) {
 
   switch (config.source) {
     case ErrorSource::kLinkBitFlip:
-      tb.atm_link()->dir(0).set_corrupt_hook(
-          MakeCellBitFlipper(rng, counter, config.probability));
-      tb.atm_link()->dir(1).set_corrupt_hook(
-          MakeCellBitFlipper(rng, counter, config.probability));
+      tb.fiber(0).set_corrupt_hook(MakeCellBitFlipper(rng, counter, config.probability));
+      tb.fiber(1).set_corrupt_hook(MakeCellBitFlipper(rng, counter, config.probability));
       break;
     case ErrorSource::kLinkCrcDefeating:
-      tb.atm_link()->dir(0).set_corrupt_hook(
+      tb.fiber(0).set_corrupt_hook(
           MakeCrc10DefeatingCorruptor(rng, counter, config.probability));
-      tb.atm_link()->dir(1).set_corrupt_hook(
+      tb.fiber(1).set_corrupt_hook(
           MakeCrc10DefeatingCorruptor(rng, counter, config.probability));
       break;
     case ErrorSource::kControllerCopy:
-      tb.client_atm()->set_controller_fault_hook(
+      tb.atm_netif(0).set_controller_fault_hook(
           MakeControllerCorruptor(rng, counter, config.probability));
-      tb.server_atm()->set_controller_fault_hook(
+      tb.atm_netif(1).set_controller_fault_hook(
           MakeControllerCorruptor(rng, counter, config.probability));
       break;
     case ErrorSource::kSwitchFabric:
@@ -63,8 +61,8 @@ ErrorExperimentResult RunErrorExperiment(const ErrorExperimentConfig& config) {
 
   ErrorExperimentResult out;
   out.injected = counter->injected;
-  const SarReassemblerStats& sar_c = tb.client_atm()->sar_stats();
-  const SarReassemblerStats& sar_s = tb.server_atm()->sar_stats();
+  const SarReassemblerStats& sar_c = tb.atm_netif(0).sar_stats();
+  const SarReassemblerStats& sar_s = tb.atm_netif(1).sar_stats();
   out.caught_cell_crc = sar_c.crc_errors + sar_s.crc_errors;
   out.caught_sar = sar_c.sequence_errors + sar_s.sequence_errors + sar_c.cpcs_errors +
                    sar_s.cpcs_errors + sar_c.protocol_errors + sar_s.protocol_errors;

@@ -16,6 +16,8 @@ constexpr uint64_t kSeedMix = 0x9e3779b97f4a7c15ull;
 
 TestbedImpairment::TestbedImpairment(Testbed& testbed, const ImpairmentConfig& config)
     : testbed_(&testbed) {
+  TCPLAT_CHECK(testbed.host_count() == 2 && !testbed.config().routed)
+      << "impairment links are wired for the two-host testbed";
   auto make = [&](const char* name, uint64_t salt) {
     ImpairmentConfig c = config;
     c.seed = config.seed + salt * kSeedMix;
@@ -24,8 +26,8 @@ TestbedImpairment::TestbedImpairment(Testbed& testbed, const ImpairmentConfig& c
   };
 
   if (testbed.config().network == NetworkKind::kAtm) {
-    testbed.atm_link()->dir(0).set_impairment(make("c2s", 1));
-    testbed.atm_link()->dir(1).set_impairment(make("s2c", 2));
+    testbed.fiber(0).set_impairment(make("c2s", 1));
+    testbed.fiber(1).set_impairment(make("s2c", 2));
     link("c2s")->RegisterMetrics(testbed.client_host().metrics(), "c2s");
     link("s2c")->RegisterMetrics(testbed.server_host().metrics(), "s2c");
     if (testbed.atm_switch() != nullptr) {
@@ -41,8 +43,8 @@ TestbedImpairment::TestbedImpairment(Testbed& testbed, const ImpairmentConfig& c
 
 TestbedImpairment::~TestbedImpairment() {
   if (testbed_->config().network == NetworkKind::kAtm) {
-    testbed_->atm_link()->dir(0).set_impairment(nullptr);
-    testbed_->atm_link()->dir(1).set_impairment(nullptr);
+    testbed_->fiber(0).set_impairment(nullptr);
+    testbed_->fiber(1).set_impairment(nullptr);
     if (testbed_->atm_switch() != nullptr) {
       testbed_->atm_switch()->set_output_impairment(nullptr);
     }

@@ -21,7 +21,8 @@
 
 namespace tcplat {
 
-// Owns one seeded ImpairmentPolicy per link of a testbed and wires them in:
+// Owns one seeded ImpairmentPolicy per link of a two-host testbed and wires
+// them in:
 //  * ATM point-to-point — one policy per fiber direction;
 //  * ATM switched      — one per host uplink fiber plus one for the switch
 //                        output fibers (the downlinks);

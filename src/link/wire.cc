@@ -45,6 +45,7 @@ WireFate Wire::Transmit(SimTime earliest, std::span<uint8_t> unit) {
   if (verdict.duplicate) {
     fate.arrival[1] = fate.arrival[0] + verdict.duplicate_lag;
     fate.copies = 2;
+    ++units_duplicated_;
   }
   return fate;
 }

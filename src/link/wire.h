@@ -87,8 +87,10 @@ class Wire {
 
   uint64_t units_sent() const { return units_sent_; }
   uint64_t bytes_sent() const { return bytes_sent_; }
-  // Units consumed in flight by the impairment policy.
+  // Units consumed in flight by the impairment policy, and units it
+  // delivered a second copy of.
   uint64_t units_dropped() const { return units_dropped_; }
+  uint64_t units_duplicated() const { return units_duplicated_; }
 
  private:
   double bits_per_second_;
@@ -100,6 +102,7 @@ class Wire {
   uint64_t units_sent_ = 0;
   uint64_t bytes_sent_ = 0;
   uint64_t units_dropped_ = 0;
+  uint64_t units_duplicated_ = 0;
 };
 
 // A full-duplex point-to-point link: direction 0 is a->b, 1 is b->a.

@@ -43,7 +43,7 @@ class SegmentTap {
   uint64_t dropped() const { return dropped_; }
   void Clear() { records_.clear(); }
 
-  // "1.234567 OUT 10.0.0.1:20000 > 10.0.0.2:5001: Flags [S], seq 64001,
+  // "1.234567 OUT 10.0.1.1:20000 > 10.0.2.1:5001: Flags [S], seq 64001,
   //  win 8192, options [mss 9148], length 0"
   static std::string Format(const Record& record);
 

@@ -77,15 +77,16 @@ CapacityOutcome RunCapacityCell(const CapacityCell& cell) {
 
 CapacityOutcome RunCapacityCell(const CapacityCell& cell, Tracer* tracer) {
   TCPLAT_CHECK_GT(cell.flows, 0);
-  StarTestbedConfig config;
+  TestbedConfig config;
   config.network = cell.network;
+  config.switched = true;
   // Never build more hosts than there are flows to occupy them.
   config.clients = std::min(cell.clients, cell.flows);
   config.servers = std::min(cell.servers, cell.flows);
   config.seed = cell.seed;
   config.tcp.header_prediction = cell.header_prediction;
   config.tcp.checksum = cell.checksum;
-  StarTestbed testbed(config);
+  Testbed testbed(config);
   if (tracer != nullptr) {
     testbed.AttachTracer(tracer);
   }

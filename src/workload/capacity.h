@@ -1,5 +1,5 @@
 // Capacity-curve cells: one (topology × discipline × flow count × stack
-// config) point, run on a fresh StarTestbed. Shared by bench/capacity and
+// config) point, run on a fresh switched Testbed. Shared by bench/capacity and
 // the workload determinism tests so both format byte-identical rows.
 
 #ifndef SRC_WORKLOAD_CAPACITY_H_
@@ -10,7 +10,6 @@
 
 #include "src/workload/flow_driver.h"
 #include "src/workload/generator.h"
-#include "src/workload/star_testbed.h"
 
 namespace tcplat {
 
@@ -45,7 +44,7 @@ struct CapacityOutcome {
   uint64_t sim_events = 0;  // events the simulator dispatched
 };
 
-// Builds a fresh star testbed for the cell, runs its workload to
+// Builds a fresh switched testbed for the cell, runs its workload to
 // completion, and reduces the per-flow stats. The second overload attaches
 // `tracer` to every host and the switch before running, so the cell's full
 // event stream is available for causal-graph attribution afterwards.

@@ -14,14 +14,6 @@ namespace {
 // the 2-byte header and trailer are paid. The efficiency denominator.
 constexpr uint64_t kCellPayloadBytes = 44;
 
-// Mirrors star_testbed.cc's ordered-pair VC plan (src i -> dst j on VCI
-// 64 + i*N + j) so the cell can read the bottleneck VCs' counters.
-uint16_t BottleneckVci(int client, int flows) {
-  const int n = flows + 1;     // total hosts
-  const int server_idx = flows;  // global index of the single server
-  return static_cast<uint16_t>(64 + client * n + server_idx);
-}
-
 }  // namespace
 
 std::vector<FlowSpec> BuildCongestionFlows(const CongestionCell& cell) {
@@ -54,8 +46,9 @@ CongestionOutcome RunCongestionCell(const CongestionCell& cell) {
 CongestionOutcome RunCongestionCell(const CongestionCell& cell, Tracer* tracer) {
   TCPLAT_CHECK_GT(cell.flows, 0);
   TCPLAT_CHECK_GT(cell.buffer_cells, 0u) << "an infinite buffer never congests";
-  StarTestbedConfig config;
+  TestbedConfig config;
   config.network = NetworkKind::kAtm;
+  config.switched = true;
   config.clients = cell.flows;
   config.servers = 1;
   config.seed = cell.seed;
@@ -67,7 +60,7 @@ CongestionOutcome RunCongestionCell(const CongestionCell& cell, Tracer* tracer) 
   config.tcp.sndbuf = cell.sndbuf;
   config.tcp.rcvbuf = cell.rcvbuf;
   config.tcp.mss_clamp = cell.mss_clamp;
-  StarTestbed testbed(config);
+  Testbed testbed(config);
   if (tracer != nullptr) {
     testbed.AttachTracer(tracer);
   }
@@ -133,7 +126,7 @@ CongestionOutcome RunCongestionCell(const CongestionCell& cell, Tracer* tracer) 
 
   AtmSwitch* sw = testbed.atm_switch();
   for (int f = 0; f < cell.flows; ++f) {
-    const AtmSwitch::VcState* vc = sw->vc_state(BottleneckVci(f, cell.flows));
+    const AtmSwitch::VcState* vc = sw->vc_state(testbed.vci(f, cell.flows));
     if (vc == nullptr) {
       continue;
     }

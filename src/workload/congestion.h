@@ -20,7 +20,6 @@
 #include "src/link/link_profile.h"
 #include "src/tcp/congestion.h"
 #include "src/workload/flow_driver.h"
-#include "src/workload/star_testbed.h"
 
 namespace tcplat {
 
@@ -102,7 +101,7 @@ struct CongestionOutcome {
 // each carrying the cell's congestion variant as a per-flow socket option.
 std::vector<FlowSpec> BuildCongestionFlows(const CongestionCell& cell);
 
-// Builds a fresh star (cell.flows clients, 1 server) with the cell's VC
+// Builds a fresh switched testbed (cell.flows clients, 1 server) with the cell's VC
 // buffer policy and link profile, runs every bulk flow to completion and
 // reduces goodput/efficiency/fairness. The tracer overload attaches
 // `tracer` to every host and the switch first.

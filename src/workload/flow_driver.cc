@@ -10,7 +10,7 @@ namespace tcplat {
 namespace {
 
 // Deterministic per-iteration payload, identical to the single-flow
-// benchmark's pattern so the 1-flow star run is byte-for-byte the same.
+// benchmark's pattern so a 1-flow run is byte-for-byte the same.
 void FillPattern(std::vector<uint8_t>& buf, int iteration) {
   for (size_t i = 0; i < buf.size(); ++i) {
     buf[i] = static_cast<uint8_t>((i * 131 + iteration * 17 + 7) & 0xFF);
@@ -18,7 +18,7 @@ void FillPattern(std::vector<uint8_t>& buf, int iteration) {
 }
 
 struct RunState {
-  StarTestbed* tb = nullptr;
+  Testbed* tb = nullptr;
   const WorkloadOptions* options = nullptr;
   std::vector<FlowResult> results;
   std::vector<bool> server_done;
@@ -92,7 +92,7 @@ Socket* ListenFlow(RunState* state, const FlowSpec* spec, uint16_t port) {
 // the socket before Connect builds the SYN (it drives SACK negotiation).
 Socket* ConnectFlow(RunState* state, const FlowSpec* spec, uint16_t port) {
   TcpStack& stack = state->tb->client_tcp(spec->client);
-  const SockAddr remote{StarServerAddr(spec->server), port};
+  const SockAddr remote{ServerAddr(spec->server), port};
   return spec->congestion.has_value() ? stack.Connect(remote, *spec->congestion)
                                       : stack.Connect(remote);
 }
@@ -665,7 +665,7 @@ SimTask KeystrokeClientProc(RunState* state, const FlowSpec* spec, size_t flow,
 
 }  // namespace
 
-WorkloadResult RunWorkload(StarTestbed& testbed, const std::vector<FlowSpec>& specs,
+WorkloadResult RunWorkload(Testbed& testbed, const std::vector<FlowSpec>& specs,
                            const WorkloadOptions& options) {
   TCPLAT_CHECK(!specs.empty());
   for (const FlowSpec& spec : specs) {

@@ -1,11 +1,12 @@
-// Runs many concurrent echo flows over a StarTestbed's socket layer.
+// Runs many concurrent echo flows over a Testbed's socket layer.
 //
 // Each flow is the paper's measurement workload (src/core/rpc_benchmark):
 // a client process writes `size` bytes, waits for `size` bytes back, and
 // times each round trip. The driver generalizes it to F flows spread over
-// the star's host pairs, with optional per-flow start offsets (open-loop
-// arrivals) and think times (closed-loop load). A single flow between the
-// star's one client and one server reproduces RunRpcBenchmark byte-for-byte.
+// the testbed's client/server pairs, with optional per-flow start offsets
+// (open-loop arrivals) and think times (closed-loop load). A single flow on
+// a one-client, one-server testbed reproduces RunRpcBenchmark on the same
+// testbed byte-for-byte.
 //
 // Every flow gets a dedicated server port (listener), so a listener always
 // knows its flow's message size — the echo protocol is read-exactly-then-
@@ -19,8 +20,8 @@
 #include <optional>
 #include <vector>
 
+#include "src/core/testbed.h"
 #include "src/trace/latency_stats.h"
-#include "src/workload/star_testbed.h"
 
 namespace tcplat {
 
@@ -130,7 +131,7 @@ struct WorkloadResult {
 
 // Runs every flow to completion on the testbed's simulator. The testbed can
 // be reused for further runs.
-WorkloadResult RunWorkload(StarTestbed& testbed, const std::vector<FlowSpec>& specs,
+WorkloadResult RunWorkload(Testbed& testbed, const std::vector<FlowSpec>& specs,
                            const WorkloadOptions& options = {});
 
 }  // namespace tcplat

@@ -80,15 +80,15 @@ InteractiveOutcome RunInteractiveCell(const InteractiveCell& cell) {
 
 InteractiveOutcome RunInteractiveCell(const InteractiveCell& cell, Tracer* tracer) {
   TCPLAT_CHECK_GT(cell.flows, 0);
-  StarTestbedConfig config;
-  config.network = cell.network;
+  TestbedConfig config;
+  config.switched = true;
   config.clients = std::min(cell.clients, cell.flows);
   config.servers = std::min(cell.servers, cell.flows);
   config.seed = cell.seed;
   if (cell.delack_timeout.nanos() > 0) {
     config.tcp.delack_timeout = cell.delack_timeout;
   }
-  StarTestbed testbed(config);
+  Testbed testbed(config);
   if (tracer != nullptr) {
     testbed.AttachTracer(tracer);
   }

@@ -28,7 +28,6 @@
 
 #include "src/fault/impairment.h"
 #include "src/workload/flow_driver.h"
-#include "src/workload/star_testbed.h"
 
 namespace tcplat {
 
@@ -39,7 +38,6 @@ enum class InteractiveKnob { kPathological, kNodelay, kDelackOff };
 const char* InteractiveKnobName(InteractiveKnob knob);
 
 struct InteractiveCell {
-  NetworkKind network = NetworkKind::kAtm;
   int clients = 1;
   int servers = 1;
   int flows = 1;
@@ -107,7 +105,7 @@ struct InteractiveOutcome {
 std::vector<FlowSpec> BuildInteractiveFlows(const InteractiveCell& cell, int clients,
                                             int servers);
 
-// Builds a fresh star testbed, applies the cell's knobs (per-flow socket
+// Builds a fresh switched ATM testbed, applies the cell's knobs (per-flow socket
 // options, delack timer, window clamp, impairment), runs every flow to
 // completion and reduces the stats. The tracer overload attaches `tracer`
 // to every host and the switch first.

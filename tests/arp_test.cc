@@ -186,8 +186,8 @@ TEST(Arp, PreseededCacheNeverAsks) {
   opt.iterations = 20;
   const RpcResult r = RunRpcBenchmark(tb, opt);
   EXPECT_EQ(r.data_mismatches, 0u);
-  EXPECT_EQ(tb.client_ether()->arp_stats().requests_sent, 0u);
-  EXPECT_EQ(tb.server_ether()->arp_stats().requests_sent, 0u);
+  EXPECT_EQ(tb.ether_netif(0).arp_stats().requests_sent, 0u);
+  EXPECT_EQ(tb.ether_netif(1).arp_stats().requests_sent, 0u);
 }
 
 }  // namespace

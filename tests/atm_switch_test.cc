@@ -61,7 +61,7 @@ TEST(AtmSwitch, FabricCorruptionCaughtEndToEndByAalCrc) {
 
   EXPECT_GT(counter->injected, 0u);
   const uint64_t crc_catches =
-      tb.client_atm()->sar_stats().crc_errors + tb.server_atm()->sar_stats().crc_errors;
+      tb.atm_netif(0).sar_stats().crc_errors + tb.atm_netif(1).sar_stats().crc_errors;
   EXPECT_EQ(crc_catches, counter->injected) << "every fabric error is CRC-visible at the edge";
   EXPECT_EQ(r.client_tcp.checksum_errors + r.server_tcp.checksum_errors, 0u)
       << "TCP never needed to get involved";

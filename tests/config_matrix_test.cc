@@ -44,8 +44,8 @@ TEST_P(ConfigMatrix, EchoSurvivesEveryConfiguration) {
   cfg.switched = p.switched;
   Testbed tb(cfg);
   if (p.dma && p.network == NetworkKind::kAtm) {
-    tb.client_atm()->set_dma(true);
-    tb.server_atm()->set_dma(true);
+    tb.atm_netif(0).set_dma(true);
+    tb.atm_netif(1).set_dma(true);
   }
   for (size_t size : {size_t{4}, size_t{1400}, size_t{8000}}) {
     RpcOptions opt;

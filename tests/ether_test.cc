@@ -72,7 +72,7 @@ TEST(Ether, CorruptedFrameDroppedByHardwareCrc) {
   opt.iterations = 30;
   const RpcResult r = RunRpcBenchmark(tb, opt);
   EXPECT_EQ(r.data_mismatches, 0u);
-  EXPECT_EQ(tb.client_ether()->stats().crc_errors + tb.server_ether()->stats().crc_errors, 1u);
+  EXPECT_EQ(tb.ether_netif(0).stats().crc_errors + tb.ether_netif(1).stats().crc_errors, 1u);
   EXPECT_GE(r.client_tcp.rexmt_timeouts + r.server_tcp.rexmt_timeouts, 1u)
       << "the lost frame must be recovered by retransmission";
 }
@@ -113,7 +113,7 @@ TEST(Ether, MtuEnforced) {
   TestbedConfig cfg;
   cfg.network = NetworkKind::kEthernet;
   Testbed tb(cfg);
-  EXPECT_EQ(tb.client_ether()->mtu(), kEtherMtu);
+  EXPECT_EQ(tb.ether_netif(0).mtu(), kEtherMtu);
   // MSS negotiation already clamps TCP segments; verify the driver agrees
   // with the interface contract.
   RpcOptions opt;

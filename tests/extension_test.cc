@@ -28,8 +28,8 @@ TEST(DmaAdapter, PreservesDataAndCutsLatency) {
   const RpcResult pio_r = RunEcho(pio, 4000);
 
   Testbed dma(cfg);
-  dma.client_atm()->set_dma(true);
-  dma.server_atm()->set_dma(true);
+  dma.atm_netif(0).set_dma(true);
+  dma.atm_netif(1).set_dma(true);
   const RpcResult dma_r = RunEcho(dma, 4000);
 
   EXPECT_EQ(dma_r.data_mismatches, 0u);
@@ -41,8 +41,8 @@ TEST(DmaAdapter, PreservesDataAndCutsLatency) {
 TEST(DmaAdapter, DriverSpansCollapse) {
   TestbedConfig cfg;
   Testbed tb(cfg);
-  tb.client_atm()->set_dma(true);
-  tb.server_atm()->set_dma(true);
+  tb.atm_netif(0).set_dma(true);
+  tb.atm_netif(1).set_dma(true);
   const RpcResult r = RunEcho(tb, 4000);
   // The Table 2/3 driver rows (hundreds of microseconds under programmed
   // I/O at this size) drop to interrupt + descriptor bookkeeping.
@@ -54,8 +54,8 @@ TEST(DmaAdapter, ComposesWithChecksumElimination) {
   TestbedConfig cfg;
   cfg.tcp.checksum = ChecksumMode::kNone;
   Testbed tb(cfg);
-  tb.client_atm()->set_dma(true);
-  tb.server_atm()->set_dma(true);
+  tb.atm_netif(0).set_dma(true);
+  tb.atm_netif(1).set_dma(true);
   const RpcResult r = RunEcho(tb, 8000);
   EXPECT_EQ(r.data_mismatches, 0u);
   // §4.2's projection: with both copies and the checksum gone, the large-
@@ -78,7 +78,7 @@ TEST(ChecksumNegotiation, MismatchFallsBackToStandard) {
   // And the segments really carry checksums: corrupt one CRC-invisibly and
   // TCP must catch it.
   int countdown = 30;
-  tb.atm_link()->dir(0).set_corrupt_hook([&countdown](std::span<uint8_t> cell) {
+  tb.fiber(0).set_corrupt_hook([&countdown](std::span<uint8_t> cell) {
     if (--countdown == 0) {
       constexpr uint32_t kGen = 0x633;
       for (int i = 0; i < 11; ++i) {
@@ -123,7 +123,7 @@ TEST(DuplicateDelivery, ReAckedWithoutCorruption) {
   Testbed tb(cfg);
   int kill_from = 40;
   int kill_count = 3;
-  tb.atm_link()->dir(1).set_corrupt_hook(
+  tb.fiber(1).set_corrupt_hook(
       [&kill_from, &kill_count](std::span<uint8_t> cell) {
         if (--kill_from <= 0 && kill_count > 0) {
           cell[20] ^= 0xFF;  // CRC-visible: the cell (and its PDU) dies

@@ -7,13 +7,20 @@
 #include <cstring>
 #include <vector>
 
-#include "src/core/routed_testbed.h"
 #include "src/core/testbed.h"
 #include "src/icmp/icmp.h"
 #include "src/os/task.h"
 
 namespace tcplat {
 namespace {
+
+// Client — gateway — server across two Ethernet segments.
+TestbedConfig RoutedConfig() {
+  TestbedConfig cfg;
+  cfg.network = NetworkKind::kEthernet;
+  cfg.routed = true;
+  return cfg;
+}
 
 TEST(IcmpMessage, SerializeParseRoundTrip) {
   IcmpMessage msg;
@@ -90,24 +97,24 @@ TEST(Icmp, PingOverAtm) {
 }
 
 TEST(Icmp, PingThroughGateway) {
-  RoutedTestbed net;
+  Testbed net(RoutedConfig());
   IcmpStack client_icmp(&net.client_ip());
   IcmpStack gw_icmp(&net.gateway_ip());
   IcmpStack server_icmp(&net.server_ip());
 
   PingResult result;
   net.client_host().Spawn(
-      "ping", Pinger(&net.client_host(), &client_icmp, kRoutedServerAddr, 3, 64, &result));
+      "ping", Pinger(&net.client_host(), &client_icmp, kServerAddr, 3, 64, &result));
   net.sim().RunToCompletion();
   ASSERT_TRUE(result.done);
   ASSERT_EQ(result.events.size(), 3u);
   EXPECT_EQ(result.events[0].message.type, IcmpType::kEchoReply);
-  EXPECT_EQ(result.events[0].from, kRoutedServerAddr);
+  EXPECT_EQ(result.events[0].from, kServerAddr);
   EXPECT_GE(net.gateway_ip().stats().forwarded, 6u);  // both directions
 }
 
 TEST(Icmp, TtlExpiryYieldsTimeExceededFromGateway) {
-  RoutedTestbed net;
+  Testbed net(RoutedConfig());
   IcmpStack client_icmp(&net.client_ip());
   IcmpStack gw_icmp(&net.gateway_ip());
   IcmpStack server_icmp(&net.server_ip());
@@ -115,22 +122,22 @@ TEST(Icmp, TtlExpiryYieldsTimeExceededFromGateway) {
   PingResult result;
   net.client_host().Spawn(
       "ping-ttl1",
-      Pinger(&net.client_host(), &client_icmp, kRoutedServerAddr, 1, /*ttl=*/1, &result));
+      Pinger(&net.client_host(), &client_icmp, kServerAddr, 1, /*ttl=*/1, &result));
   net.sim().RunToCompletion();
   ASSERT_TRUE(result.done);
   ASSERT_EQ(result.events.size(), 1u);
   EXPECT_EQ(result.events[0].message.type, IcmpType::kTimeExceeded);
-  EXPECT_EQ(result.events[0].from, kRoutedGatewayLeft) << "the gateway must identify itself";
+  EXPECT_EQ(result.events[0].from, kGatewayClientAddr) << "the gateway must identify itself";
   // The error quotes the offending packet's header.
   ASSERT_GE(result.events[0].message.payload.size(), kIpv4HeaderBytes);
   auto quoted = Ipv4Header::Parse(result.events[0].message.payload);
   ASSERT_TRUE(quoted.has_value());
-  EXPECT_EQ(quoted->dst, kRoutedServerAddr);
+  EXPECT_EQ(quoted->dst, kServerAddr);
   EXPECT_EQ(quoted->ttl, 1);
 }
 
 TEST(Icmp, UnroutableYieldsDestinationUnreachable) {
-  RoutedTestbed net;
+  Testbed net(RoutedConfig());
   IcmpStack client_icmp(&net.client_ip());
   IcmpStack gw_icmp(&net.gateway_ip());
 
@@ -150,12 +157,12 @@ TEST(Icmp, NoErrorsAboutIcmpErrorMessages) {
   // a destination-unreachable with TTL 1), the gateway must not generate a
   // time-exceeded about it. Echo requests, by contrast, do elicit errors —
   // that is how traceroute works (covered above).
-  RoutedTestbed net;
+  Testbed net(RoutedConfig());
   IcmpStack client_icmp(&net.client_ip());
   IcmpStack gw_icmp(&net.gateway_ip());
 
   bool sent = false;
-  net.client_host().Spawn("raw", [](RoutedTestbed* n, bool* flag) -> SimTask {
+  net.client_host().Spawn("raw", [](Testbed* n, bool* flag) -> SimTask {
     // Hand-built ICMP destination-unreachable, TTL 1.
     IcmpMessage err;
     err.type = IcmpType::kDestUnreachable;
@@ -163,7 +170,7 @@ TEST(Icmp, NoErrorsAboutIcmpErrorMessages) {
     const auto wire = err.Serialize();
     MbufPtr m = n->client_host().pool().GetHeader(40);
     std::memcpy(m->Append(wire.size()).data(), wire.data(), wire.size());
-    n->client_ip().Output(std::move(m), kRoutedClientAddr, kRoutedServerAddr, kIpProtoIcmp,
+    n->client_ip().Output(std::move(m), kClientAddr, kServerAddr, kIpProtoIcmp,
                           /*ttl=*/1);
     *flag = true;
     co_return;

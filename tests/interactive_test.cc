@@ -16,7 +16,6 @@
 #include "src/fault/impairment.h"
 #include "src/workload/flow_driver.h"
 #include "src/workload/interactive.h"
-#include "src/workload/star_testbed.h"
 
 namespace tcplat {
 namespace {
@@ -84,8 +83,9 @@ TEST(InteractivePathology, PerSocketDelackTimerOverridesConfig) {
   InteractiveCell cell;
   cell.iterations = 8;
   cell.warmup = 2;
-  StarTestbedConfig config;
-  StarTestbed testbed(config);
+  TestbedConfig config;
+  config.switched = true;
+  Testbed testbed(config);
   std::vector<FlowSpec> specs = BuildInteractiveFlows(cell, 1, 1);
   specs[0].server_delack_timeout = SimDuration::FromMillis(40);
   const WorkloadResult result = RunWorkload(testbed, specs);

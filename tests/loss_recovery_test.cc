@@ -15,6 +15,7 @@
 #include "src/core/rpc_benchmark.h"
 #include "src/core/testbed.h"
 #include "src/fault/impairment.h"
+#include "src/fault/scenario.h"
 #include "src/tcp/segment_tap.h"
 #include "tests/drop_if.h"
 
@@ -252,6 +253,23 @@ TEST(LossRecovery, ReorderedFramesNeverCorruptTheStream) {
   EXPECT_GT(policy.stats().reordered, 0u);
   EXPECT_EQ(policy.stats().dropped, 0u);
   EXPECT_GT(r.client_tcp.out_of_order_segs + r.server_tcp.out_of_order_segs, 0u);
+}
+
+// Loss and duplication on a switched testbed's host fibers: the switch's
+// cell books must still balance at quiescence. RunRpcBenchmark drains
+// through Testbed::RunToCompletion, whose conservation CHECK counts the
+// cells each fiber lost or duplicated in flight.
+TEST(LossRecovery, SwitchedFiberLossAndDuplicationConserveCells) {
+  LossScenarioConfig cfg;
+  cfg.switched = true;
+  cfg.impairment.drop_prob = 2e-3;
+  cfg.impairment.duplicate_prob = 2e-3;
+  cfg.size = 1024;
+  cfg.iterations = 60;
+  const LossScenarioResult r = RunLossScenario(cfg);
+  EXPECT_GT(r.link.dropped, 0u);
+  EXPECT_GT(r.link.duplicated, 0u);
+  EXPECT_TRUE(r.completed);
 }
 
 }  // namespace

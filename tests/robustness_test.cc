@@ -104,7 +104,7 @@ TEST(Robustness, NoChecksumModeSurvivesCorruptionWithoutCrashing) {
   cfg.tcp.checksum = ChecksumMode::kNone;
   Testbed tb(cfg);
   auto rng = std::make_shared<Rng>(11);
-  tb.atm_link()->dir(0).set_corrupt_hook([rng](std::span<uint8_t> cell) {
+  tb.fiber(0).set_corrupt_hook([rng](std::span<uint8_t> cell) {
     if (rng->NextBool(0.01)) {
       // Damage payload bytes only, in a CRC-defeating generator pattern.
       constexpr uint32_t kGen = 0x633;
@@ -136,12 +136,12 @@ TEST(Robustness, ChaosMixedSizesUnderLossWithChecksums) {
   TestbedConfig cfg;
   Testbed tb(cfg);
   auto rng = std::make_shared<Rng>(2026);
-  tb.atm_link()->dir(0).set_corrupt_hook([rng](std::span<uint8_t> cell) {
+  tb.fiber(0).set_corrupt_hook([rng](std::span<uint8_t> cell) {
     if (rng->NextBool(0.001)) {
       cell[17] ^= 0x04;
     }
   });
-  tb.atm_link()->dir(1).set_corrupt_hook([rng](std::span<uint8_t> cell) {
+  tb.fiber(1).set_corrupt_hook([rng](std::span<uint8_t> cell) {
     if (rng->NextBool(0.001)) {
       cell[33] ^= 0x40;
     }
@@ -236,8 +236,8 @@ TEST(Robustness, ChaosMixedSizesUnderLossWithChecksums) {
   EXPECT_TRUE(client_ok);
   EXPECT_EQ(mismatches, 0u);
   // The noise actually did something.
-  EXPECT_GT(tb.client_atm()->sar_stats().crc_errors +
-                tb.server_atm()->sar_stats().crc_errors,
+  EXPECT_GT(tb.atm_netif(0).sar_stats().crc_errors +
+                tb.atm_netif(1).sar_stats().crc_errors,
             0u);
 }
 

@@ -12,7 +12,7 @@
 #include <vector>
 
 #include "src/base/random.h"
-#include "src/core/routed_testbed.h"
+#include "src/core/testbed.h"
 #include "src/ether/ether_netif.h"
 #include "src/os/task.h"
 #include "src/tcp/tcp_stack.h"
@@ -20,11 +20,18 @@
 namespace tcplat {
 namespace {
 
-constexpr Ipv4Addr kClientIp = kRoutedClientAddr;
-constexpr Ipv4Addr kServerIp = kRoutedServerAddr;
+constexpr Ipv4Addr kClientIp = kClientAddr;
+constexpr Ipv4Addr kServerIp = kServerAddr;
 constexpr uint16_t kPort = 5001;
 
-using RoutedNet = RoutedTestbed;
+// Client — gateway — server across two Ethernet segments.
+TestbedConfig RoutedConfig(TcpConfig tcp = {}) {
+  TestbedConfig cfg;
+  cfg.network = NetworkKind::kEthernet;
+  cfg.routed = true;
+  cfg.tcp = tcp;
+  return cfg;
+}
 
 struct EchoResult {
   std::vector<uint8_t> received;
@@ -33,7 +40,7 @@ struct EchoResult {
   bool client_error = false;
 };
 
-SimTask EchoServer(RoutedNet* net, EchoResult* out, size_t bytes) {
+SimTask EchoServer(Testbed* net, EchoResult* out, size_t bytes) {
   Socket* listener = net->server_tcp().Listen(kPort);
   Socket* s = nullptr;
   while (s == nullptr) {
@@ -66,7 +73,7 @@ SimTask EchoServer(RoutedNet* net, EchoResult* out, size_t bytes) {
   out->server_done = got == bytes;
 }
 
-SimTask EchoClient(RoutedNet* net, EchoResult* out, std::vector<uint8_t> data) {
+SimTask EchoClient(Testbed* net, EchoResult* out, std::vector<uint8_t> data) {
   Socket* s = net->client_tcp().Connect(SockAddr{kServerIp, kPort});
   while (!s->connected() && !s->has_error()) {
     co_await s->WaitConnected();
@@ -111,7 +118,7 @@ std::vector<uint8_t> Payload(size_t n, uint64_t seed = 5) {
 }
 
 TEST(Routing, TcpEchoAcrossGateway) {
-  RoutedNet net;
+  Testbed net(RoutedConfig());
   EchoResult result;
   const auto data = Payload(2000);
   net.server_host().Spawn("server", EchoServer(&net, &result, data.size()));
@@ -125,10 +132,10 @@ TEST(Routing, TcpEchoAcrossGateway) {
 }
 
 TEST(Routing, TtlDecrementedByGateway) {
-  RoutedNet net;
+  Testbed net(RoutedConfig());
   // Capture a frame on the right segment and inspect its TTL.
   uint8_t seen_ttl = 0;
-  net.right_segment().set_corrupt_hook([&seen_ttl](std::span<uint8_t> frame) {
+  net.ether_segment(1)->set_corrupt_hook([&seen_ttl](std::span<uint8_t> frame) {
     if (seen_ttl == 0) {
       seen_ttl = frame[kEtherHeaderBytes + 8];
     }
@@ -143,11 +150,11 @@ TEST(Routing, TtlDecrementedByGateway) {
 }
 
 TEST(Routing, TtlExpiryDropsAtGateway) {
-  RoutedNet net;
+  Testbed net(RoutedConfig());
   Host& h = net.client_host();
   bool done = false;
   // Hand-build a TTL-1 packet and push it out the client interface.
-  h.Spawn("raw", [](RoutedNet* n, bool* flag) -> SimTask {
+  h.Spawn("raw", [](Testbed* n, bool* flag) -> SimTask {
     MbufPtr m = n->client_host().pool().GetHeader(40);
     std::memset(m->Append(30).data(), 0xEE, 30);
     n->client_ip().Output(std::move(m), kClientIp, kServerIp, 250, /*ttl=*/1);
@@ -164,7 +171,7 @@ TEST(Routing, GatewayMemoryCorruptionNeedsTheTcpChecksum) {
   // §4.2.1 source (3): damage inside the gateway is re-CRCed by the
   // outbound link, so only an end-to-end check can see it. With the TCP
   // checksum on, the stream survives via retransmission...
-  RoutedNet with_cksum;
+  Testbed with_cksum(RoutedConfig());
   auto rng = std::make_shared<Rng>(17);
   int corruptions = 0;
   with_cksum.gateway_ip().set_forward_corrupt_hook(
@@ -190,9 +197,7 @@ TEST(Routing, GatewayMemoryCorruptionNeedsTheTcpChecksum) {
   // traffic that crosses no IP routers.
   TcpConfig no_cksum;
   no_cksum.checksum = ChecksumMode::kNone;
-  RoutedTestbedConfig no_cksum_cfg;
-  no_cksum_cfg.tcp = no_cksum;
-  RoutedNet without(no_cksum_cfg);
+  Testbed without(RoutedConfig(no_cksum));
   auto rng2 = std::make_shared<Rng>(17);
   without.gateway_ip().set_forward_corrupt_hook([rng2](std::vector<uint8_t>& pkt) {
     if (pkt.size() > 60 && rng2->NextBool(0.4)) {
@@ -209,9 +214,9 @@ TEST(Routing, GatewayMemoryCorruptionNeedsTheTcpChecksum) {
 }
 
 TEST(Routing, GatewayDropsUnroutableDestinations) {
-  RoutedNet net;
+  Testbed net(RoutedConfig());
   bool done = false;
-  net.client_host().Spawn("raw", [](RoutedNet* n, bool* flag) -> SimTask {
+  net.client_host().Spawn("raw", [](Testbed* n, bool* flag) -> SimTask {
     MbufPtr m = n->client_host().pool().GetHeader(40);
     std::memset(m->Append(30).data(), 0xEE, 30);
     // 10.0.9.9 matches no gateway route.

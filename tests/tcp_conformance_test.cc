@@ -171,7 +171,7 @@ TEST_F(Conformance, LostSynAckIsRetransmittedByServer) {
   cfg.tcp.rexmt_min = SimDuration::FromMillis(50);
   Testbed tb(cfg);
   int kill = 1;
-  tb.atm_link()->dir(1).set_corrupt_hook([&kill](std::span<uint8_t> cell) {
+  tb.fiber(1).set_corrupt_hook([&kill](std::span<uint8_t> cell) {
     if (kill > 0) {
       cell[10] ^= 0xFF;
       --kill;
@@ -683,7 +683,7 @@ TEST(CongestionE2E, SingleLossRepairedByFastRetransmitNotTimeout) {
   Testbed tb(cfg);
   int countdown = 400;  // one cell of roughly the 11th data segment: past
                         // slow start's opening, with a full window behind it
-  tb.atm_link()->dir(0).set_corrupt_hook([&countdown](std::span<uint8_t> cell) {
+  tb.fiber(0).set_corrupt_hook([&countdown](std::span<uint8_t> cell) {
     if (--countdown == 0) {
       cell[10] ^= 0xFF;
     }

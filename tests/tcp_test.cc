@@ -343,7 +343,7 @@ TEST_F(TcpTest, CellCorruptionRecoveredByRetransmission) {
   Testbed tb{TestbedConfig{}};
   // Corrupt exactly one cell mid-run on the request direction.
   int countdown = 40;
-  tb.atm_link()->dir(0).set_corrupt_hook([&countdown](std::span<uint8_t> cell) {
+  tb.fiber(0).set_corrupt_hook([&countdown](std::span<uint8_t> cell) {
     if (--countdown == 0) {
       cell[30] ^= 0x40;
     }
@@ -352,8 +352,8 @@ TEST_F(TcpTest, CellCorruptionRecoveredByRetransmission) {
   EXPECT_GE(tb.client_tcp().stats().rexmt_timeouts +
                 tb.server_tcp().stats().rexmt_timeouts,
             1u);
-  const auto& sar = tb.server_atm()->sar_stats();
-  EXPECT_EQ(sar.crc_errors + tb.client_atm()->sar_stats().crc_errors, 1u);
+  const auto& sar = tb.atm_netif(1).sar_stats();
+  EXPECT_EQ(sar.crc_errors + tb.atm_netif(0).sar_stats().crc_errors, 1u);
 }
 
 TEST_F(TcpTest, LostSegmentMidStreamUsesReassemblyQueue) {
@@ -425,7 +425,7 @@ TEST_F(TcpTest, ConnectOverDeadLinkFailsAfterRetries) {
   cfg.tcp.rexmt_min = SimDuration::FromMillis(50);
   Testbed tb(cfg);
   // Black-hole the request direction: every cell is destroyed in flight.
-  tb.atm_link()->dir(0).set_corrupt_hook(
+  tb.fiber(0).set_corrupt_hook(
       [](std::span<uint8_t> cell) { cell[10] ^= 0xFF; });
   client_ = {};
   tb.client_host().Spawn("client", ConnectSendRecv(&tb, &client_, RandomData(10, 1), 0, false));

@@ -175,7 +175,7 @@ TEST(UdpBasics, CorruptedDatagramDroppedWhenChecksummed) {
   // Defeat the cell CRC so only the UDP checksum can catch the damage.
   auto rng = std::make_shared<Rng>(5);
   int countdown = 2;
-  tb.atm_link()->dir(0).set_corrupt_hook([&](std::span<uint8_t> cell) {
+  tb.fiber(0).set_corrupt_hook([&](std::span<uint8_t> cell) {
     if (--countdown == 0) {
       // Flip an 11-bit generator pattern inside the payload (CRC-invisible).
       for (int i : {0, 1, 5, 6, 9, 10}) {  // bit pattern of the CRC-10 generator

@@ -1,5 +1,5 @@
-// The workload engine's contract: a 1x1 star with one closed-loop flow IS
-// the switched two-host testbed (byte-identical RTTs); generators are pure
+// The workload engine's contract: one closed-loop flow on a one-client,
+// one-server testbed IS the echo benchmark (byte-identical RTTs); generators are pure
 // functions of their config (seeded arrivals); the closed-loop concurrency
 // invariant holds; every flow completes or aborts exactly once, impaired or
 // not; and bench/capacity's rows are byte-identical across executor widths.
@@ -16,33 +16,31 @@
 #include "src/workload/capacity.h"
 #include "src/workload/flow_driver.h"
 #include "src/workload/generator.h"
-#include "src/workload/star_testbed.h"
 
 namespace tcplat {
 namespace {
 
-// K=1, M=1, one closed-loop flow: the star must reproduce the switched
-// two-host testbed's round trips byte-for-byte. Any drift here means the
-// star's wiring (fiber parameters, spawn order, VC setup) perturbed event
-// ordering relative to the reference path.
-TEST(StarTestbed, OneFlowReproducesSwitchedTestbedByteForByte) {
+// One client, one server, one flow: the flow driver must reproduce
+// RunRpcBenchmark's round trips byte-for-byte on the same testbed config.
+// Any drift here means the flow driver's spawn order, ports or payload perturbed
+// event ordering relative to the reference path.
+TEST(FlowDriver, OneFlowReproducesRpcBenchmarkByteForByte) {
   for (size_t size : {size_t{4}, size_t{1400}}) {
-    TestbedConfig ref_cfg;
-    ref_cfg.switched = true;
-    Testbed ref(ref_cfg);
+    TestbedConfig cfg;
+    cfg.switched = true;
+    Testbed ref(cfg);
     RpcOptions opt;
     opt.size = size;
     opt.iterations = 120;
     opt.warmup = 32;
     const RpcResult expected = RunRpcBenchmark(ref, opt);
 
-    StarTestbedConfig star_cfg;  // defaults: 1 client, 1 server, ATM
-    StarTestbed star(star_cfg);
+    Testbed tb(cfg);
     FlowSpec spec;
     spec.size = size;
     spec.iterations = 120;
     spec.warmup = 32;
-    const WorkloadResult got = RunWorkload(star, {spec});
+    const WorkloadResult got = RunWorkload(tb, {spec});
 
     ASSERT_EQ(got.flows.size(), 1u);
     EXPECT_TRUE(got.flows[0].completed);
@@ -54,24 +52,22 @@ TEST(StarTestbed, OneFlowReproducesSwitchedTestbedByteForByte) {
   }
 }
 
-TEST(StarTestbed, EthernetOneFlowMatchesEthernetTestbed) {
-  TestbedConfig ref_cfg;
-  ref_cfg.network = NetworkKind::kEthernet;
-  Testbed ref(ref_cfg);
+TEST(FlowDriver, EthernetOneFlowReproducesRpcBenchmark) {
+  TestbedConfig cfg;
+  cfg.network = NetworkKind::kEthernet;
+  Testbed ref(cfg);
   RpcOptions opt;
   opt.size = 200;
   opt.iterations = 60;
   opt.warmup = 16;
   const RpcResult expected = RunRpcBenchmark(ref, opt);
 
-  StarTestbedConfig star_cfg;
-  star_cfg.network = NetworkKind::kEthernet;
-  StarTestbed star(star_cfg);
+  Testbed tb(cfg);
   FlowSpec spec;
   spec.size = 200;
   spec.iterations = 60;
   spec.warmup = 16;
-  const WorkloadResult got = RunWorkload(star, {spec});
+  const WorkloadResult got = RunWorkload(tb, {spec});
 
   EXPECT_EQ(got.rtt.count(), expected.rtt.count());
   EXPECT_EQ(got.rtt.sum().nanos(), expected.rtt.sum().nanos());
@@ -127,10 +123,10 @@ TEST(Generators, ClosedLoopRoundRobinsHostsAndPorts) {
 // Closed loop: a fixed population can never have more flows inside a round
 // trip than it has members, and on a clean fabric every member completes.
 TEST(FlowDriver, ClosedLoopConcurrencyInvariant) {
-  StarTestbedConfig star_cfg;
-  star_cfg.clients = 2;
-  star_cfg.servers = 2;
-  StarTestbed star(star_cfg);
+  TestbedConfig tb_cfg;
+  tb_cfg.clients = 2;
+  tb_cfg.servers = 2;
+  Testbed tb(tb_cfg);
 
   ClosedLoopConfig cfg;
   cfg.flows = 8;
@@ -139,7 +135,7 @@ TEST(FlowDriver, ClosedLoopConcurrencyInvariant) {
   cfg.size = 64;
   cfg.iterations = 10;
   cfg.warmup = 2;
-  const WorkloadResult result = RunWorkload(star, BuildClosedLoop(cfg));
+  const WorkloadResult result = RunWorkload(tb, BuildClosedLoop(cfg));
 
   EXPECT_EQ(result.completed, 8u);
   EXPECT_EQ(result.aborted, 0u);
@@ -158,16 +154,16 @@ TEST(FlowDriver, ClosedLoopConcurrencyInvariant) {
 // every flow ends in exactly one of {completed, aborted} even when the
 // switch fabric is dropping cells, and the totals reconcile.
 TEST(FlowDriver, ExactlyOnceCompletionUnderImpairment) {
-  StarTestbedConfig star_cfg;
-  star_cfg.clients = 2;
-  star_cfg.servers = 1;
-  StarTestbed star(star_cfg);
+  TestbedConfig tb_cfg;
+  tb_cfg.clients = 2;
+  tb_cfg.servers = 1;
+  Testbed tb(tb_cfg);
 
   ImpairmentConfig imp;
   imp.drop_prob = 2e-3;
   imp.seed = 11;
   ImpairmentPolicy policy(imp);
-  star.atm_switch()->set_output_impairment(&policy);
+  tb.atm_switch()->set_output_impairment(&policy);
 
   ClosedLoopConfig cfg;
   cfg.flows = 6;
@@ -180,8 +176,8 @@ TEST(FlowDriver, ExactlyOnceCompletionUnderImpairment) {
   for (FlowSpec& s : specs) {
     s.tolerate_errors = true;
   }
-  const WorkloadResult result = RunWorkload(star, specs);
-  star.atm_switch()->set_output_impairment(nullptr);
+  const WorkloadResult result = RunWorkload(tb, specs);
+  tb.atm_switch()->set_output_impairment(nullptr);
 
   EXPECT_GT(policy.stats().offered, 0u);
   EXPECT_EQ(result.completed + result.aborted, 6u);
