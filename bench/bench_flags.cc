@@ -103,10 +103,6 @@ bool ParseBenchFlags(int argc, char** argv, BenchFlags* flags, const char* accep
       flags->csv_path = v;
       continue;
     }
-    if (const char* v = FlagValue(argc, argv, &i, "--perf")) {
-      flags->perf_path = v;
-      continue;
-    }
     if (const char* v = FlagValue(argc, argv, &i, "--congestion")) {
       flags->congestion_path = v;
       continue;

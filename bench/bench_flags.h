@@ -20,7 +20,6 @@ struct BenchFlags {
   int jobs = 0;            // --jobs; 0 = inherit TCPLAT_JOBS / core count
   int flows = 0;           // --flows; pre-set the default before parsing
   std::string csv_path;    // --csv; empty = no CSV export
-  std::string perf_path;   // --perf; a fresh BENCH_perf.json to gate on
   std::string congestion_path;  // --congestion; a fresh BENCH_congestion.json
   std::string baseline_dir;       // --baseline-dir; committed baselines
   bool write_baseline = false;    // --write-baseline: refresh the baselines

@@ -419,8 +419,7 @@ int Run(const BenchFlags& flags) {
   const std::vector<CongestionVariant> kVariants = {
       CongestionVariant::kLegacy, CongestionVariant::kReno, CongestionVariant::kNewReno,
       CongestionVariant::kSack};
-  const std::vector<DropPolicy> kPolicies = {DropPolicy::kTailDrop, DropPolicy::kEpd,
-                                             DropPolicy::kPpd};
+  const std::vector<DropPolicy> kPolicies = {DropPolicy::kTailDrop, DropPolicy::kEpd};
   // buffers[0] is congested enough that drop policy dominates; buffers[2] is
   // nearly drop-free, where the variants must converge.
   const std::vector<size_t> kBuffers = {128, 256, 768};

@@ -1,26 +1,11 @@
-// Perf regression gate: diffs a fresh BENCH_perf.json / BENCH_trace.json
-// against committed baselines (bench/baselines/) with per-metric noise
-// tolerances, and exits non-zero on a regression so CI can fail the build.
+// Regression gate: diffs a fresh BENCH_trace.json (and optionally a fresh
+// BENCH_congestion.json) against the committed baselines in
+// bench/baselines/, and exits non-zero on a regression so CI can fail the
+// build. The simulator's own cost is not gated here: perfbench measures
+// it end to end, and tests/hot_path_alloc_test pins its exact per-round-trip
+// event and allocation counts.
 //
 // Tolerance policy, per metric class:
-//  * Deterministic facts (quick, grid_configs, grid_iterations,
-//    capacity_flows, grid_results_identical, and any unclassified key)
-//    must match the baseline exactly.
-//  * Wall-clock rates (keys ending in _per_sec) vary wildly across CI
-//    hardware, so they only gate on collapse: fresh must be at least
-//    kMinRateRatio of the baseline. A 10x regression trips; scheduler
-//    noise does not.
-//  * Wall-clock raw seconds and machine facts (hardware_concurrency,
-//    grid_jobs, grid_serial_sec, grid_parallel_sec, grid_speedup) are
-//    reported but never gate.
-//  * trace_disabled_overhead_pct gates on an absolute ceiling: detached-
-//    tracer hooks must stay under kMaxTraceOverheadPct.
-//  * Interactive latency metrics (interactive_*_us) are pure simulated
-//    quantities but gate on a 1.10x growth ceiling rather than exact
-//    equality: they exist to catch a protocol change that re-arms (or
-//    widens) the Nagle x delayed-ACK pathology, while letting small
-//    timing shifts from unrelated stack work through. Getting faster is
-//    always fine.
 //  * The trace metrics file (written by observability_selfcheck: reference
 //    trace bytes/event-count/FNV-1a hash, binary-pipeline and sampling
 //    results) must match the committed baseline exactly — the values are
@@ -30,8 +15,10 @@
 //    gate on a 1.10x growth ceiling (encoding, arena, or sampler-frugality
 //    regressions trip, small drifts from new events do not, and shrinking
 //    is always fine), and timeseries_overhead_pct, which is wall-clock and
-//    gates on an absolute ceiling like trace_disabled_overhead_pct: the
-//    timeseries hooks must stay cheap when no sampler records.
+//    gates on an absolute ceiling: the timeseries hooks must stay cheap
+//    when no sampler records.
+//  * The congestion grid's goodput/efficiency/fairness gate on a 0.90x
+//    floor of baseline; its counters and acceptance booleans stay exact.
 //
 // Modes: default gates; --write-baseline refreshes the committed files;
 // --selftest runs the gate logic on synthetic data (pass + perturbed-fail)
@@ -52,10 +39,8 @@
 namespace tcplat {
 namespace {
 
-constexpr double kMinRateRatio = 0.10;
 constexpr double kMaxTraceOverheadPct = 10.0;
 constexpr double kMaxTraceGrowthRatio = 1.10;
-constexpr double kMaxInteractiveGrowthRatio = 1.10;
 constexpr double kMinCongestionRatio = 0.90;
 
 int g_failures = 0;
@@ -143,71 +128,6 @@ bool EndsWith(const std::string& s, const char* suffix) {
   return s.size() >= n && s.compare(s.size() - n, n, suffix) == 0;
 }
 
-// Interactive pathological latencies (perf_selfcheck 2c): simulated, so
-// deterministic, but gated on a growth ceiling — the metric's job is to
-// catch the latency mode widening, not to pin every nanosecond.
-bool IsInteractiveLatency(const std::string& key) {
-  return key.rfind("interactive_", 0) == 0 && EndsWith(key, "_us");
-}
-
-bool IsIgnored(const std::string& key) {
-  static const char* kIgnored[] = {"hardware_concurrency", "grid_jobs", "grid_serial_sec",
-                                   "grid_parallel_sec", "grid_speedup"};
-  for (const char* k : kIgnored) {
-    if (key == k) {
-      return true;
-    }
-  }
-  return false;
-}
-
-// Applies the tolerance policy to one fresh/baseline pair of flat maps.
-void GatePerf(const std::map<std::string, std::string>& fresh,
-              const std::map<std::string, std::string>& baseline) {
-  for (const auto& [key, base_value] : baseline) {
-    auto it = fresh.find(key);
-    if (it == fresh.end()) {
-      Result("FAIL", key, "missing from fresh results");
-      continue;
-    }
-    const std::string& fresh_value = it->second;
-    char detail[160];
-    if (IsIgnored(key)) {
-      std::snprintf(detail, sizeof(detail), "%s (machine-dependent, not gated)",
-                    fresh_value.c_str());
-      Result("ok", key, detail);
-    } else if (EndsWith(key, "_per_sec")) {
-      const double fresh_rate = std::strtod(fresh_value.c_str(), nullptr);
-      const double base_rate = std::strtod(base_value.c_str(), nullptr);
-      const double floor = base_rate * kMinRateRatio;
-      std::snprintf(detail, sizeof(detail), "%.0f vs baseline %.0f (floor %.0f)", fresh_rate,
-                    base_rate, floor);
-      Result(fresh_rate >= floor ? "ok" : "FAIL", key, detail);
-    } else if (key == "trace_disabled_overhead_pct") {
-      const double pct = std::strtod(fresh_value.c_str(), nullptr);
-      std::snprintf(detail, sizeof(detail), "%.2f%% (ceiling %.1f%%)", pct,
-                    kMaxTraceOverheadPct);
-      Result(pct <= kMaxTraceOverheadPct ? "ok" : "FAIL", key, detail);
-    } else if (IsInteractiveLatency(key)) {
-      const double fresh_us = std::strtod(fresh_value.c_str(), nullptr);
-      const double ceiling = std::strtod(base_value.c_str(), nullptr) *
-                             kMaxInteractiveGrowthRatio;
-      std::snprintf(detail, sizeof(detail), "%.1f us vs baseline %s (ceiling %.1f)", fresh_us,
-                    base_value.c_str(), ceiling);
-      Result(fresh_us <= ceiling ? "ok" : "FAIL", key, detail);
-    } else {
-      std::snprintf(detail, sizeof(detail), "%s vs baseline %s", fresh_value.c_str(),
-                    base_value.c_str());
-      Result(fresh_value == base_value ? "ok" : "FAIL", key, detail);
-    }
-  }
-  for (const auto& [key, value] : fresh) {
-    if (baseline.find(key) == baseline.end()) {
-      Result("warn", key, "new metric (no baseline yet): " + value);
-    }
-  }
-}
-
 // Trace metrics gating on a growth ceiling rather than exact equality:
 // binary stream density, the streaming arena's high-water mark, and the
 // timeline's point budget may creep as event kinds are added, but a >10%
@@ -227,8 +147,7 @@ void GateTrace(const std::map<std::string, std::string>& fresh,
     }
     if (key == "timeseries_overhead_pct") {
       // Wall-clock, so never exact: the hooks with no recording sampler
-      // must stay under the same absolute ceiling as the detached-tracer
-      // hooks.
+      // must stay under an absolute ceiling.
       const double pct = std::strtod(it->second.c_str(), nullptr);
       char detail[160];
       std::snprintf(detail, sizeof(detail), "%.2f%% (ceiling %.1f%%)", pct,
@@ -297,15 +216,6 @@ void GateCongestion(const std::map<std::string, std::string>& fresh,
 // Pure-logic verification: the gate must pass on identical data and fail on
 // a perturbed baseline, with no files involved.
 int SelfTest() {
-  std::map<std::string, std::string> perf = {
-      {"quick", "true"},
-      {"hardware_concurrency", "8"},
-      {"rpc_round_trips_per_sec", "100000"},
-      {"trace_disabled_overhead_pct", "1.50"},
-      {"grid_results_identical", "true"},
-      {"interactive_delack_p50_us", "202160.9"},
-      {"interactive_nodelay_p99_us", "1938.2"},
-  };
   const std::map<std::string, std::string> trace = {
       {"trace_bytes", "12345"},
       {"trace_events", "678"},
@@ -336,7 +246,6 @@ int SelfTest() {
   };
 
   std::printf("selftest: identical data must pass\n");
-  GatePerf(perf, perf);
   GateTrace(trace, trace);
   GateCongestion(congestion, congestion);
   if (g_failures != 0) {
@@ -346,42 +255,6 @@ int SelfTest() {
 
   std::printf("selftest: perturbed data must fail\n");
   int expected = 0;
-
-  std::map<std::string, std::string> slow = perf;
-  slow["rpc_round_trips_per_sec"] = "100";  // 1000x collapse, below the ratio floor
-  g_failures = 0;
-  GatePerf(slow, perf);
-  expected += g_failures == 1 ? 0 : 1;
-
-  std::map<std::string, std::string> diverged = perf;
-  diverged["grid_results_identical"] = "false";
-  g_failures = 0;
-  GatePerf(diverged, perf);
-  expected += g_failures == 1 ? 0 : 1;
-
-  std::map<std::string, std::string> heavy = perf;
-  heavy["trace_disabled_overhead_pct"] = "25.00";
-  g_failures = 0;
-  GatePerf(heavy, perf);
-  expected += g_failures == 1 ? 0 : 1;
-
-  // Interactive latency ceilings: drift within 10% (or any improvement)
-  // passes...
-  std::map<std::string, std::string> interactive_drift = perf;
-  interactive_drift["interactive_delack_p50_us"] = "210000.0";  // +3.9%
-  interactive_drift["interactive_nodelay_p99_us"] = "900.0";    // faster
-  g_failures = 0;
-  GatePerf(interactive_drift, perf);
-  expected += g_failures == 0 ? 0 : 1;
-
-  // ...but a widened pathology (the mode re-arming in a "fixed" cell, or
-  // the timer cliff growing) trips the ceiling.
-  std::map<std::string, std::string> interactive_worse = perf;
-  interactive_worse["interactive_delack_p50_us"] = "402000.0";  // 2x the mode
-  interactive_worse["interactive_nodelay_p99_us"] = "202000.0";  // mode re-armed
-  g_failures = 0;
-  GatePerf(interactive_worse, perf);
-  expected += g_failures == 2 ? 0 : 1;
 
   std::map<std::string, std::string> drifted = trace;
   drifted["trace_fnv64"] = "0123456789abcdef";
@@ -458,14 +331,6 @@ int SelfTest() {
   GateCongestion(cong_broken, congestion);
   expected += g_failures == 2 ? 0 : 1;
 
-  // A hardware difference alone must NOT fail.
-  std::map<std::string, std::string> other_machine = perf;
-  other_machine["hardware_concurrency"] = "128";
-  other_machine["rpc_round_trips_per_sec"] = "20000";  // 5x slower: within ratio
-  g_failures = 0;
-  GatePerf(other_machine, perf);
-  expected += g_failures == 0 ? 0 : 1;
-
   if (expected != 0) {
     std::printf("selftest FAILED: %d scenario(s) did not gate as expected\n", expected);
     return 1;
@@ -478,58 +343,47 @@ int Run(const BenchFlags& flags) {
   if (flags.selftest) {
     return SelfTest();
   }
-  if (flags.perf_path.empty() || flags.trace_path.empty()) {
-    std::fprintf(stderr, "regression_gate: --perf and --trace are required (or --selftest)\n");
+  if (flags.trace_path.empty()) {
+    std::fprintf(stderr, "regression_gate: --trace is required (or --selftest)\n");
     return 2;
   }
   const std::string dir = flags.baseline_dir.empty() ? "bench/baselines" : flags.baseline_dir;
-  const std::string perf_baseline_path = dir + "/BENCH_perf.json";
   const std::string trace_baseline_path = dir + "/BENCH_trace.json";
   const std::string congestion_baseline_path = dir + "/BENCH_congestion.json";
 
-  std::string fresh_perf_text;
   std::string fresh_trace_text;
   std::string fresh_congestion_text;
-  if (!ReadFile(flags.perf_path, &fresh_perf_text) ||
-      !ReadFile(flags.trace_path, &fresh_trace_text)) {
+  if (!ReadFile(flags.trace_path, &fresh_trace_text)) {
     return 2;
   }
-  // The congestion grid file is optional so pre-existing two-file
-  // invocations keep working; CI passes all three.
+  // The congestion grid file is optional; CI passes both.
   if (!flags.congestion_path.empty() &&
       !ReadFile(flags.congestion_path, &fresh_congestion_text)) {
     return 2;
   }
-  const std::map<std::string, std::string> fresh_perf = ParseFlatJson(fresh_perf_text);
-  const std::map<std::string, std::string> fresh_trace = ParseFlatJson(fresh_trace_text);
 
   if (flags.write_baseline) {
-    if (!WriteTextFile(perf_baseline_path, fresh_perf_text) ||
-        !WriteTextFile(trace_baseline_path, fresh_trace_text)) {
+    if (!WriteTextFile(trace_baseline_path, fresh_trace_text)) {
       return 2;
     }
     if (!flags.congestion_path.empty() &&
         !WriteTextFile(congestion_baseline_path, fresh_congestion_text)) {
       return 2;
     }
-    std::printf("wrote %s and %s\n", perf_baseline_path.c_str(), trace_baseline_path.c_str());
+    std::printf("wrote baselines in %s\n", dir.c_str());
     return 0;
   }
 
-  std::string perf_baseline_text;
   std::string trace_baseline_text;
-  if (!ReadFile(perf_baseline_path, &perf_baseline_text) ||
-      !ReadFile(trace_baseline_path, &trace_baseline_text)) {
+  if (!ReadFile(trace_baseline_path, &trace_baseline_text)) {
     std::fprintf(stderr, "regression_gate: no baselines in %s (run --write-baseline first)\n",
                  dir.c_str());
     return 2;
   }
 
-  std::printf("perf metrics (%s vs %s):\n", flags.perf_path.c_str(), perf_baseline_path.c_str());
-  GatePerf(fresh_perf, ParseFlatJson(perf_baseline_text));
   std::printf("trace metrics (%s vs %s):\n", flags.trace_path.c_str(),
               trace_baseline_path.c_str());
-  GateTrace(fresh_trace, ParseFlatJson(trace_baseline_text));
+  GateTrace(ParseFlatJson(fresh_trace_text), ParseFlatJson(trace_baseline_text));
 
   if (!flags.congestion_path.empty()) {
     std::string congestion_baseline_text;
@@ -555,7 +409,7 @@ int Run(const BenchFlags& flags) {
 int main(int argc, char** argv) {
   tcplat::BenchFlags flags;
   if (!tcplat::ParseBenchFlags(argc, argv, &flags,
-                               "[--quick] [--perf PATH] [--trace PATH] [--congestion PATH] "
+                               "[--trace PATH] [--congestion PATH] "
                                "[--baseline-dir DIR] [--write-baseline] [--selftest]")) {
     return 2;
   }

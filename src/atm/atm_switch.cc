@@ -15,8 +15,6 @@ const char* DropPolicyName(DropPolicy p) {
       return "tail";
     case DropPolicy::kEpd:
       return "epd";
-    case DropPolicy::kPpd:
-      return "ppd";
   }
   return "?";
 }
@@ -182,7 +180,7 @@ bool AtmSwitch::AdmitCell(uint16_t vci, SimTime arrival, const CellImage& cell) 
   }
 
   if (!drop && vc.occupancy >= static_cast<int64_t>(vc_config_.buffer_cells)) {
-    // Overflow. Tail drop loses just this cell; EPD/PPD also give up on the
+    // Overflow. Tail drop loses just this cell; EPD also gives up on the
     // rest of the frame (an incomplete frame is useless to AAL anyway).
     drop = true;
     if (policy != DropPolicy::kTailDrop && !frame_end) {
@@ -202,11 +200,8 @@ bool AtmSwitch::AdmitCell(uint16_t vci, SimTime arrival, const CellImage& cell) 
         if (epd) {
           ++stats_.cells_dropped_epd;
         } else {
-          ++stats_.cells_dropped_ppd;  // mid-frame overflow: PPD-style tail
+          ++stats_.cells_dropped_ppd;  // mid-frame overflow: partial discard
         }
-        break;
-      case DropPolicy::kPpd:
-        ++stats_.cells_dropped_ppd;
         break;
     }
     if (tracer_ != nullptr) {

@@ -35,22 +35,26 @@ struct AtmSwitchStats {
   uint64_t no_route = 0;
   uint64_t cells_dropped_tail = 0;  // buffer overflow, cell-level discard
   uint64_t cells_dropped_epd = 0;   // Early Packet Discard (whole frames)
-  uint64_t cells_dropped_ppd = 0;   // Partial Packet Discard (frame tails)
-  uint64_t frames_discarded = 0;    // AAL frames EPD/PPD gave up on
+  uint64_t cells_dropped_ppd = 0;   // EPD partial discard (mid-frame overflow tails)
+  uint64_t frames_discarded = 0;    // AAL frames EPD gave up on
 };
 
 // What happens when a per-VC output buffer fills (§ the congestion era).
 // Tail drop discards individual cells, blind to AAL frame boundaries — one
 // lost cell poisons the whole CPCS-PDU at the reassembler yet the rest of
-// the frame still occupies bottleneck bandwidth. PPD (Partial Packet
-// Discard) drops the remainder of a frame once one of its cells is lost,
-// sparing only the EOM delimiter. EPD (Early Packet Discard) refuses the
-// *whole* frame at its BOM when occupancy crosses a threshold, so the
-// buffer carries only frames it can likely complete.
+// the frame still occupies bottleneck bandwidth. EPD (Early Packet
+// Discard) refuses the *whole* frame at its BOM when occupancy crosses a
+// threshold, so the buffer carries only frames it can likely complete; if
+// a frame it admitted still overflows, EPD drops the rest of that frame
+// (partial discard, sparing only the EOM delimiter).
+//
+// There is no separate partial-discard policy. With per-VC buffers that
+// drain at their share of the trunk while a frame's cells arrive at fiber
+// pace, once a frame overflows its remaining cells overflow under tail drop
+// too, so partial discard dropped exactly the cells tail drop did.
 enum class DropPolicy : uint8_t {
   kTailDrop = 0,
   kEpd,
-  kPpd,
 };
 
 const char* DropPolicyName(DropPolicy p);

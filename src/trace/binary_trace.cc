@@ -197,7 +197,10 @@ bool BinaryRecordCursor::Next(TraceEvent* ev) {
     error_ = "truncated record payload";
     return false;
   }
-  prev_ts_ += ts_delta;
+  // Two's-complement wrap, as the writer's delta was taken: a hostile
+  // delta must not overflow a signed add.
+  prev_ts_ = static_cast<int64_t>(static_cast<uint64_t>(prev_ts_) +
+                                  static_cast<uint64_t>(ts_delta));
   ev->ts_ns = prev_ts_;
   ev->dur_ns = dur;
   ev->self_ns = self;

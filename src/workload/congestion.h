@@ -1,6 +1,6 @@
 // Congested-bottleneck cells: many bulk TCP flows funneled into one
 // server's output fiber through the cell switch, with finite per-VC buffers
-// and a selectable drop policy (tail / EPD / PPD) — the congestion-control
+// and a selectable drop policy (tail / EPD) — the congestion-control
 // era grafted onto the paper's testbed.
 //
 // Each cell fixes {congestion variant, drop policy, buffer size, flow

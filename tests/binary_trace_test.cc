@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -160,6 +161,30 @@ TEST(BinaryTrace, CorruptTagBytesAreRangeChecked) {
     Tracer out;
     EXPECT_FALSE(DecodeBinaryTrace(bad, &out));
   }
+}
+
+// A hostile stream whose timestamp deltas each claim INT64_MAX: the reader
+// sums them with the two's-complement wrap the writer's deltas assume,
+// never with an overflowing signed add (the hostile-bytes test in
+// tests/robustness_test found this under UBSan).
+TEST(BinaryTrace, HostileTimestampDeltasWrap) {
+  BinaryTraceWriter writer;
+  writer.Append(Make(1, TraceEventKind::kSegTx, TraceLayer::kTcp, 0));
+  writer.Append(Make(2, TraceEventKind::kSegTx, TraceLayer::kTcp, 0));
+  const std::string good = SealBinaryTrace({"h"}, writer);
+  // Each record is ten bytes: a 1-byte delta, four tag bytes and five
+  // 1-byte varints. Swap each delta for zigzag(INT64_MAX) as a varint.
+  const std::string max_delta("\xFE\xFF\xFF\xFF\xFF\xFF\xFF\xFF\xFF\x01", 10);
+  const size_t records = good.size() - 20;
+  std::string bad = good.substr(0, records);
+  for (size_t r = 0; r < 2; ++r) {
+    bad += max_delta + good.substr(records + 10 * r + 1, 9);
+  }
+  Tracer out;
+  ASSERT_TRUE(DecodeBinaryTrace(bad, &out));
+  ASSERT_EQ(out.events().size(), 2u);
+  EXPECT_EQ(out.events()[0].ts_ns, INT64_MAX);
+  EXPECT_EQ(out.events()[1].ts_ns, -2);  // 2 * INT64_MAX wraps to -2
 }
 
 TEST(BinaryTrace, WriterClearResetsDeltaState) {

@@ -130,7 +130,7 @@ TEST(CongestionCell, SeedsAreIndividuallyDeterministic) {
   for (const uint64_t seed : {uint64_t{1}, uint64_t{7}}) {
     CongestionCell cell = QuickCell();
     cell.variant = CongestionVariant::kNewReno;
-    cell.policy = DropPolicy::kPpd;
+    cell.policy = DropPolicy::kTailDrop;
     cell.buffer_cells = 128;
     cell.seed = seed;
     const std::vector<std::string> first = CongestionRow(cell, RunCongestionCell(cell));

@@ -1,8 +1,19 @@
-// Pins the serial hot path allocation-free: after warm-up, scheduling,
-// popping and cancelling events, and carrying ATM cells adapter -> switch ->
-// adapter, perform zero heap allocations. A counting global operator new
-// makes this an exact count rather than a timing, so any change that puts
-// a per-event or per-cell allocation back fails here deterministically.
+// Exact, deterministic proxies for the simulator's own cost. A counting
+// global operator new makes every figure here a count rather than a
+// timing, so it holds in any build type and on any machine:
+//
+//  * the serial hot path is allocation-free: after warm-up, scheduling,
+//    popping and cancelling events, and carrying ATM cells adapter ->
+//    switch -> adapter, perform zero heap allocations;
+//  * the echo benchmark's events and heap allocations per round trip, and
+//    the 64-flow capacity cell's per sample, are pinned. Each is taken as
+//    the difference between an N- and a 2N-iteration run, so setup and
+//    warm-up cancel out. A change that lowers one edits the constant; one
+//    that raises it fails here;
+//  * attaching a disabled Tracer changes neither count by one.
+//
+// Wall-clock rates live in perfbench (python3 perfbench/run.py), which
+// measures them with their spread.
 
 #include <gtest/gtest.h>
 
@@ -16,10 +27,14 @@
 #include "src/atm/aal34.h"
 #include "src/atm/atm_switch.h"
 #include "src/atm/tca100.h"
+#include "src/core/rpc_benchmark.h"
+#include "src/core/testbed.h"
 #include "src/link/wire.h"
 #include "src/os/host.h"
 #include "src/sim/event_queue.h"
 #include "src/sim/simulator.h"
+#include "src/trace/tracer.h"
+#include "src/workload/capacity.h"
 
 namespace {
 std::atomic<uint64_t> g_allocations{0};
@@ -160,6 +175,97 @@ TEST_F(CellPathTest, AdapterSwitchAdapterAllocatesNothing) {
   EXPECT_EQ(received_, 2u * kCells);
   EXPECT_EQ(crc_failures_, 0u);
   EXPECT_EQ(switch_.stats().cells_switched, 2u * kCells);
+}
+
+// What one run cost the host: simulator events dispatched and heap
+// allocations made.
+struct RunCost {
+  uint64_t events = 0;
+  uint64_t allocations = 0;
+};
+
+RunCost operator-(const RunCost& a, const RunCost& b) {
+  return {a.events - b.events, a.allocations - b.allocations};
+}
+
+// The paper's echo benchmark on a default (direct-fiber ATM) testbed. The
+// allocation count starts after the testbed is built and `tracer` (if any)
+// attached, and covers the connection, warm-up and measured round trips.
+RunCost EchoCost(size_t size, int iterations, Tracer* tracer = nullptr) {
+  Testbed tb{TestbedConfig{}};
+  if (tracer != nullptr) {
+    tb.AttachTracer(tracer);
+  }
+  RpcOptions opt;
+  opt.size = size;
+  opt.iterations = iterations;
+  const uint64_t before = Allocations();
+  const RpcResult result = RunRpcBenchmark(tb, opt);
+  EXPECT_EQ(result.iterations, static_cast<uint64_t>(iterations));
+  return {tb.sim().events_dispatched(), Allocations() - before};
+}
+
+// The cost of `extra` more round trips: a 2N-iteration run minus an
+// N-iteration run. The first run only warms process-wide lazy state.
+RunCost EchoCostOfRoundTrips(size_t size, int extra) {
+  EchoCost(size, extra);
+  return EchoCost(size, 2 * extra) - EchoCost(size, extra);
+}
+
+constexpr int kRoundTrips = 200;
+
+TEST(RoundTripCost, Echo1400BytesOverAtm) {
+  const RunCost cost = EchoCostOfRoundTrips(1400, kRoundTrips);
+  EXPECT_EQ(cost.events, 70u * kRoundTrips);
+  EXPECT_EQ(cost.allocations, 1613u);
+}
+
+TEST(RoundTripCost, Echo4BytesOverAtm) {
+  const RunCost cost = EchoCostOfRoundTrips(4, kRoundTrips);
+  EXPECT_EQ(cost.events, 8u * kRoundTrips);
+  EXPECT_EQ(cost.allocations, 1613u);
+}
+
+TEST(RoundTripCost, Echo8000BytesOverAtm) {
+  const RunCost cost = EchoCostOfRoundTrips(8000, kRoundTrips);
+  EXPECT_EQ(cost.events, 384u * kRoundTrips);
+  EXPECT_EQ(cost.allocations, 4839u);
+}
+
+// The capacity workhorse (perfbench star_rpc's shape): 64 closed-loop
+// 200-byte echo flows over 4 clients, 2 servers and the cell switch.
+RunCost CapacityCost(int iterations) {
+  CapacityCell cell;
+  cell.flows = 64;
+  cell.size = 200;
+  cell.iterations = iterations;
+  cell.warmup = 2;
+  const uint64_t before = Allocations();
+  const CapacityOutcome out = RunCapacityCell(cell);
+  EXPECT_EQ(out.samples, static_cast<uint64_t>(cell.flows) * iterations);
+  return {out.sim_events, Allocations() - before};
+}
+
+TEST(RoundTripCost, CapacityCellPerSample) {
+  CapacityCost(5);
+  const RunCost cost = CapacityCost(25) - CapacityCost(5);  // 64 x 20 = 1280 samples
+  EXPECT_EQ(cost.events, 50000u);
+  EXPECT_EQ(cost.allocations, 10578u);
+}
+
+// Tracing costs nothing when off: an attached tracer with recording
+// disabled adds no event and no allocation to the run, and records nothing.
+TEST(RoundTripCost, DisabledTracerAddsNoEventsOrAllocations) {
+  EchoCost(1400, kRoundTrips);
+  const RunCost plain = EchoCost(1400, kRoundTrips);
+  Tracer tracer;
+  tracer.set_enabled(false);
+  const RunCost traced = EchoCost(1400, kRoundTrips, &tracer);
+  EXPECT_EQ(traced.events, plain.events);
+  EXPECT_EQ(traced.allocations, plain.allocations);
+  EXPECT_EQ(tracer.events().size(), 0u);
+  EXPECT_EQ(plain.events, 16265u);
+  EXPECT_EQ(plain.allocations, 2016u);
 }
 
 }  // namespace

@@ -22,6 +22,17 @@ namespace {
 
 constexpr int64_t kMs = 1'000'000;
 
+// Recorded latencies of the three pathology cells below (16 iterations, 2
+// warm-up), in nanoseconds. Each may fall but may not grow past 1.10x: a
+// protocol change that re-arms or widens the Nagle x delayed-ACK mode trips
+// the ceiling, small timing shifts from unrelated stack work do not.
+constexpr int64_t kDelackP50Ns = 202'160'900;
+constexpr int64_t kDelackP99Ns = 202'210'600;
+constexpr int64_t kNodelayP99Ns = 1'938'200;
+constexpr int64_t kDelackOffP99Ns = 2'409'500;
+
+constexpr int64_t Ceiling(int64_t recorded_ns) { return recorded_ns * 11 / 10; }
+
 // With Nagle + delayed ACK on (the defaults), the two-chunk request's
 // round trip is pinned to the server's delayed-ACK timer: chunk 1 leaves
 // idle, chunk 2 waits behind it, and the server — short of a full request —
@@ -44,6 +55,10 @@ TEST(InteractivePathology, DelackModeTracksTimerValue) {
     EXPECT_GE(out.nagle_holds, 16u);
     EXPECT_GE(out.delayed_acks_fired, 16u);
     EXPECT_EQ(out.sws_holds, 0u);
+    if (timer_ms == 200) {
+      EXPECT_LE(out.p50.nanos(), Ceiling(kDelackP50Ns));
+      EXPECT_LE(out.p99.nanos(), Ceiling(kDelackP99Ns));
+    }
   }
 }
 
@@ -58,6 +73,7 @@ TEST(InteractivePathology, ModeVanishesUnderNodelay) {
   EXPECT_EQ(out.completed, 1u);
   EXPECT_EQ(out.samples, 16u);
   EXPECT_LT(out.p99.nanos(), 5 * kMs);
+  EXPECT_LE(out.p99.nanos(), Ceiling(kNodelayP99Ns));
   EXPECT_EQ(out.nagle_holds, 0u);
 }
 
@@ -73,6 +89,7 @@ TEST(InteractivePathology, ModeVanishesWithDelackDisabled) {
   EXPECT_EQ(out.completed, 1u);
   EXPECT_EQ(out.samples, 16u);
   EXPECT_LT(out.p99.nanos(), 5 * kMs);
+  EXPECT_LE(out.p99.nanos(), Ceiling(kDelackOffP99Ns));
   EXPECT_GE(out.nagle_holds, 16u);
 }
 

@@ -2,17 +2,26 @@
 // packets injected below IP, random bit damage to real traffic with all
 // checks disabled, malformed headers — without crashing, deadlocking, or
 // leaking mbufs. (With checksums off, *data* corruption is expected; crashes
-// are not.)
+// are not.) Every wire and trace parser also survives hostile bytes: seeded
+// mutations of a valid encoding, run under ASan+UBSan in CI.
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
 #include <cstring>
 #include <span>
+#include <string>
 #include <vector>
 
+#include "src/atm/aal34.h"
 #include "src/base/random.h"
 #include "src/core/rpc_benchmark.h"
 #include "src/core/testbed.h"
+#include "src/icmp/icmp.h"
+#include "src/net/wire.h"
+#include "src/trace/binary_trace.h"
+#include "src/trace/tracer.h"
+#include "src/udp/udp.h"
 
 namespace tcplat {
 namespace {
@@ -295,6 +304,266 @@ TEST(Robustness, ManySimultaneousConnections) {
   // Sequential serving means later connections' SYNs may retransmit, but
   // everyone gets through and the PCB table saw 40 distinct connections.
   EXPECT_EQ(tb.server_tcp().stats().conns_established, static_cast<uint64_t>(kConns));
+}
+
+// --- Hostile bytes ---------------------------------------------------------
+//
+// Each parser is fed kMutations seeded mutations of one valid encoding. A
+// mutation stacks one to three edits: bit flips, a truncation, an
+// extension with random bytes, or a length/count field lie (the field's
+// byte overwritten with a boundary or random value, or replaced by a
+// ten-byte varint near 2^64). The parser must reject the bytes or return a
+// self-consistent parse; out-of-bounds reads and undefined behavior are
+// caught by the sanitizer build.
+
+constexpr int kMutations = 20000;
+
+using Bytes = std::vector<uint8_t>;
+
+// `length_fields` are the byte offsets of the encoding's length and count
+// fields, the ones a length lie overwrites.
+Bytes Mutate(const Bytes& valid, const std::vector<size_t>& length_fields, Rng& rng) {
+  static constexpr uint8_t kLies[] = {0x00, 0x01, 0x02, 0x7F, 0x80, 0xFE, 0xFF};
+  Bytes out = valid;
+  const int edits = 1 + static_cast<int>(rng.NextBelow(3));
+  for (int e = 0; e < edits; ++e) {
+    switch (rng.NextBelow(4)) {
+      case 0:  // bit flips
+        for (int f = 1 + static_cast<int>(rng.NextBelow(4)); f > 0 && !out.empty(); --f) {
+          out[rng.NextBelow(out.size())] ^= static_cast<uint8_t>(1u << rng.NextBelow(8));
+        }
+        break;
+      case 1:  // truncation
+        out.resize(rng.NextBelow(out.size() + 1));
+        break;
+      case 2:  // extension
+        for (int x = 1 + static_cast<int>(rng.NextBelow(64)); x > 0; --x) {
+          out.push_back(static_cast<uint8_t>(rng.Next()));
+        }
+        break;
+      default: {  // length-field lie
+        const size_t at = length_fields[rng.NextBelow(length_fields.size())];
+        if (at >= out.size()) {
+          break;
+        }
+        if (rng.NextBool(0.5)) {
+          out[at] = rng.NextBool(0.5) ? kLies[rng.NextBelow(sizeof(kLies))]
+                                      : static_cast<uint8_t>(rng.Next());
+        } else {
+          // Within 128 of 2^64: a huge count, or a huge signed delta once
+          // zigzag-decoded.
+          Bytes longest(10, 0xFF);
+          longest[0] = static_cast<uint8_t>(0x80 | rng.Next());
+          longest[9] = 0x01;
+          out.erase(out.begin() + static_cast<std::ptrdiff_t>(at));
+          out.insert(out.begin() + static_cast<std::ptrdiff_t>(at), longest.begin(),
+                     longest.end());
+        }
+        break;
+      }
+    }
+  }
+  return out;
+}
+
+// Runs `parse` on kMutations mutations of `valid`, seeded by `seed`.
+template <typename Parse>
+void FeedMutations(const Bytes& valid, const std::vector<size_t>& length_fields, uint64_t seed,
+                   Parse parse) {
+  Rng rng(seed);
+  parse(valid);
+  for (int i = 0; i < kMutations; ++i) {
+    parse(Mutate(valid, length_fields, rng));
+  }
+}
+
+TEST(HostileBytes, Ipv4Header) {
+  Ipv4Header h;
+  h.total_length = 1420;
+  h.id = 7;
+  h.dont_fragment = true;
+  h.src = kClientAddr;
+  h.dst = kServerAddr;
+  h.FillChecksum();
+  Bytes valid(kIpv4HeaderBytes + 8, 0xA5);
+  h.Serialize(valid);
+  FeedMutations(valid, {0, 2, 3, 6}, 101, [](const Bytes& in) {
+    const auto parsed = Ipv4Header::Parse(in);
+    if (parsed.has_value()) {
+      EXPECT_GE(in.size(), kIpv4HeaderBytes);
+      EXPECT_LE(parsed->frag_offset, 0x1FFF);
+    }
+  });
+}
+
+TEST(HostileBytes, TcpHeaderWithOptionsAndSackBlocks) {
+  TcpHeader h;
+  h.src_port = 1024;
+  h.dst_port = kEchoPort;
+  h.seq = 0x01020304;
+  h.ack = 0x0A0B0C0D;
+  h.flags.ack = true;
+  h.window = 4096;
+  // Every option kind the stack parses, SYN-only ones included: 56 bytes.
+  h.options.mss = 1460;
+  h.options.alt_checksum = kTcpAltChecksumNone;
+  h.options.sack_permitted = true;
+  h.options.sack = {{100, 200}, {300, 400}, {500, 600}};
+  Bytes valid(h.HeaderLength() + 16, 0x5A);
+  h.Serialize(valid);
+  // Data offset, then each option's length byte (NOP padding shifts them,
+  // so lie at every option-space offset).
+  std::vector<size_t> lengths = {12};
+  for (size_t at = kTcpMinHeaderBytes; at < h.HeaderLength(); ++at) {
+    lengths.push_back(at);
+  }
+  FeedMutations(valid, lengths, 202, [](const Bytes& in) {
+    const auto parsed = TcpHeader::Parse(in);
+    if (parsed.has_value()) {
+      EXPECT_GE(in.size(), kTcpMinHeaderBytes);
+      // 40 bytes of option space hold at most four 8-byte SACK blocks.
+      EXPECT_LE(parsed->options.sack.size(), 4u);
+    }
+  });
+}
+
+TEST(HostileBytes, UdpHeader) {
+  UdpHeader h;
+  h.src_port = 7;
+  h.dst_port = 9;
+  h.length = kUdpHeaderBytes + 12;
+  Bytes valid(h.length, 0x11);
+  h.Serialize(valid);
+  FeedMutations(valid, {4, 5}, 404, [](const Bytes& in) {
+    const auto parsed = UdpHeader::Parse(in);
+    EXPECT_EQ(parsed.has_value(), in.size() >= kUdpHeaderBytes);
+  });
+}
+
+TEST(HostileBytes, IcmpMessage) {
+  IcmpMessage msg;
+  msg.id = 3;
+  msg.seq = 4;
+  msg.payload = Bytes(28, 0x42);
+  const Bytes valid = msg.Serialize();
+  FeedMutations(valid, {0, 1, 2, 3}, 505, [](const Bytes& in) {
+    bool checksum_ok = false;
+    const auto parsed = IcmpMessage::Parse(in, &checksum_ok);
+    ASSERT_EQ(parsed.has_value(), in.size() >= kIcmpHeaderBytes);
+    if (parsed.has_value()) {
+      EXPECT_EQ(parsed->payload.size(), in.size() - kIcmpHeaderBytes);
+    }
+  });
+}
+
+TEST(HostileBytes, EtherHeader) {
+  EtherHeader h;
+  h.dst = {1, 2, 3, 4, 5, 6};
+  h.src = {6, 5, 4, 3, 2, 1};
+  Bytes valid(kEtherHeaderBytes + 46, 0);
+  h.Serialize(valid);
+  FeedMutations(valid, {12, 13}, 606, [](const Bytes& in) {
+    const auto parsed = EtherHeader::Parse(in);
+    EXPECT_EQ(parsed.has_value(), in.size() >= kEtherHeaderBytes);
+  });
+}
+
+bool SameCell(const AtmCell& a, const AtmCell& b) {
+  return a.st == b.st && a.sn == b.sn && a.mid == b.mid && a.li == b.li &&
+         a.payload == b.payload;
+}
+
+// Mutated cells go through ParseCell and one PDU's worth at a time into
+// the SAR reassembler. A PDU in which every altered cell was caught by its
+// CRC-10 must either be dropped or reassemble to the exact datagram.
+TEST(HostileBytes, AtmCellsThroughReassembly) {
+  Bytes datagram(200);
+  for (size_t i = 0; i < datagram.size(); ++i) {
+    datagram[i] = static_cast<uint8_t>(i * 13);
+  }
+  uint8_t sn = 0;
+  const std::vector<AtmCell> cells = SegmentCpcsPdu(BuildCpcsPdu(datagram, 9), 42, 0, &sn);
+  // The SAR header (segment type, sequence number) and the trailer's
+  // length indicator are the cell's length/boundary fields.
+  const std::vector<size_t> fields = {kAtmCellHeaderBytes, kAtmCellHeaderBytes + 1,
+                                      kAtmCellBytes - 2};
+  SarReassembler sar;
+  Rng rng(707);
+  uint64_t intact = 0;
+  for (int i = 0; i < kMutations; ++i) {
+    bool undetected = false;  // an altered cell passed its CRC this PDU
+    for (const AtmCell& cell : cells) {
+      const CellImage image = EncodeCell(cell);
+      const Bytes valid(image.begin(), image.end());
+      const Bytes wire = rng.NextBool(0.2) ? Mutate(valid, fields, rng) : valid;
+      bool crc_ok = false;
+      const auto parsed = ParseCell(wire, &crc_ok);
+      ASSERT_EQ(parsed.has_value(), wire.size() == kAtmCellBytes);
+      if (!parsed.has_value()) {
+        continue;
+      }
+      undetected = undetected || (crc_ok && !SameCell(*parsed, cell));
+      const auto out = sar.Feed(*parsed, crc_ok);
+      if (out.has_value() && !undetected) {
+        EXPECT_EQ(*out, datagram) << "PDU " << i;
+        ++intact;
+      }
+    }
+  }
+  EXPECT_GT(intact, 0u);
+  EXPECT_GT(sar.stats().crc_errors, 0u);
+}
+
+TEST(HostileBytes, CpcsPdu) {
+  const Bytes valid = BuildCpcsPdu(Bytes(61, 0x3C), 17);
+  // Header BAsize (2-3) and btag (1); trailer etag and length (last 3).
+  const std::vector<size_t> fields = {1, 2, 3, valid.size() - 3, valid.size() - 2,
+                                      valid.size() - 1};
+  FeedMutations(valid, fields, 808, [](const Bytes& in) {
+    std::string error;
+    const auto parsed = ParseCpcsPdu(in, &error);
+    if (parsed.has_value()) {
+      EXPECT_LE(parsed->size() + kCpcsHeaderBytes + kCpcsTrailerBytes, in.size());
+    } else {
+      EXPECT_FALSE(error.empty());
+    }
+  });
+}
+
+TEST(HostileBytes, BinaryTrace) {
+  // A real capture: a short traced echo, sealed as a TLBT stream.
+  Tracer tracer;
+  tracer.EnableBinaryRecording();
+  {
+    Testbed tb{TestbedConfig{}};
+    tb.AttachTracer(&tracer);
+    RpcOptions opt;
+    opt.iterations = 2;
+    opt.warmup = 0;
+    RunRpcBenchmark(tb, opt);
+  }
+  const std::string sealed = SealBinaryTrace(tracer.host_names(), tracer.binary_records());
+  const Bytes valid(sealed.begin(), sealed.end());
+  // Past the magic and version, nearly every byte is a varint: the host
+  // count, name lengths, the record count, and each record's timestamp
+  // delta and payload fields.
+  std::vector<size_t> fields;
+  for (size_t at = 6; at < valid.size(); ++at) {
+    fields.push_back(at);
+  }
+  FeedMutations(valid, fields, 909, [](const Bytes& in) {
+    Tracer out;
+    const std::string_view blob(reinterpret_cast<const char*>(in.data()), in.size());
+    const bool ok = DecodeBinaryTrace(blob, &out);
+    // A record takes at least ten bytes (a one-byte delta, four tag bytes
+    // and five one-byte varints), so no stream decodes into more records
+    // than that allows.
+    EXPECT_LE(out.events().size() * 10, in.size());
+    if (ok) {
+      BinaryTraceReader reader(blob);
+      EXPECT_EQ(out.events().size(), reader.record_count());
+    }
+  });
 }
 
 }  // namespace
