@@ -18,10 +18,10 @@
 //      reproduces the Perfetto JSON byte-for-byte (lossless round trip);
 //   6. on an 8-flow capacity cell, the binary stream is byte-identical
 //      run to run;
-//   7. streaming attribution fed straight from the binary reader closes
-//      exactly the windows the batch CausalGraph/AttributeRtts path finds,
-//      every window's stages telescope to its RTT with 0 ns error, and
-//      >= 95% of the p99-p50 gap is attributed;
+//   7. the CausalGraph/AttributeRtts path run on the decoded stream
+//      attributes every measured round trip, every window's stages
+//      telescope to its RTT with 0 ns error, and >= 95% of the p99-p50 gap
+//      is attributed;
 //   8. with 1-in-8 flow sampling on the big capacity cell, peak tracer
 //      memory drops >= 4x versus the full binary trace while the sampled
 //      p99 stage blame tracks the full-trace blame per stage.
@@ -30,11 +30,12 @@
 //
 //    9. mid-run TLBT disk spill (BinaryTraceWriter::EnableSpill) seals the
 //       same byte stream an unspilled capture produces;
-//   10. the timeseries hooks cost nothing when no sampler is attached
-//       (timeseries_overhead_pct, the median of interleaved pairs, gated
-//       on an absolute ceiling);
-//   11. the default-period timeseries plane stays frugal
+//   10. the default-period timeseries plane stays frugal
 //       (timeseries_points_per_flow, gated on a 1.10x ceiling).
+//
+// Every check and every metric is simulated data; nothing here reads the
+// wall clock. That the timeseries hooks add nothing while no sampler
+// records is pinned exactly in tests/hot_path_alloc_test.cc.
 //
 // Writes a flat metrics JSON (the regression-gate input) to
 // BENCH_trace.json — override with --out — and the reference Perfetto
@@ -43,7 +44,6 @@
 // nonzero on any failure.
 
 #include <algorithm>
-#include <chrono>
 #include <cinttypes>
 #include <cstdio>
 #include <cstring>
@@ -60,7 +60,6 @@
 #include "src/trace/attribution.h"
 #include "src/trace/binary_trace.h"
 #include "src/trace/causal_graph.h"
-#include "src/trace/stream_attribution.h"
 #include "src/trace/timeseries.h"
 #include "src/trace/tracer.h"
 #include "src/workload/capacity.h"
@@ -236,90 +235,9 @@ BinaryCellRun RunBinaryCell(const CapacityCell& cell, uint32_t sample_one_in) {
   return out;
 }
 
-// One wall-clock A/B is noise-dominated, so the overhead runs are
-// interleaved: each of kOverheadPairs pairs times the base run and the
-// hooked run back to back (alternating which goes first, so drift and
-// warm-up do not favour one side) and yields one overhead figure. The gate
-// reads the median pair; the quartiles show how far apart the pairs were.
-constexpr int kOverheadPairs = 11;
-
-struct OverheadSpread {
-  double median_pct = 0;
-  double q1_pct = 0;
-  double q3_pct = 0;
-};
-
-// Linear-interpolated quantile of `sorted` (ascending, non-empty).
-double Quantile(const std::vector<double>& sorted, double q) {
-  const double pos = q * static_cast<double>(sorted.size() - 1);
-  const size_t lo = static_cast<size_t>(pos);
-  const size_t hi = std::min(lo + 1, sorted.size() - 1);
-  return sorted[lo] + (sorted[hi] - sorted[lo]) * (pos - static_cast<double>(lo));
-}
-
-// `base_rate` and `hooked_rate` each run once and return a throughput
-// (higher is better); the overhead of one pair is 100 * (base - hooked) /
-// base.
-OverheadSpread MeasureInterleavedOverheadPct(const std::function<double()>& base_rate,
-                                             const std::function<double()>& hooked_rate) {
-  std::vector<double> pct;
-  for (int pair = 0; pair < kOverheadPairs; ++pair) {
-    double base = 0;
-    double hooked = 0;
-    for (int leg = 0; leg < 2; ++leg) {
-      if ((leg == 0) == (pair % 2 == 0)) {
-        base = base_rate();
-      } else {
-        hooked = hooked_rate();
-      }
-    }
-    pct.push_back(100.0 * (base - hooked) / base);
-  }
-  std::sort(pct.begin(), pct.end());
-  return {Quantile(pct, 0.5), Quantile(pct, 0.25), Quantile(pct, 0.75)};
-}
-
-// Wall-clock echo rate with the given tracer attached (nullptr = none);
-// the timeseries-overhead probe.
-double MeasureEchoEventRate(int iterations, Tracer* tracer) {
-  TestbedConfig cfg;
-  Testbed tb(cfg);
-  if (tracer != nullptr) {
-    tb.AttachTracer(tracer);
-  }
-  RpcOptions opt;
-  opt.size = 1400;
-  opt.iterations = iterations;
-  const auto t0 = std::chrono::steady_clock::now();
-  RunRpcBenchmark(tb, opt);
-  const double wall =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
-  return static_cast<double>(tb.sim().events_dispatched()) / wall;
-}
-
-// The timeseries hooks must cost nothing when no sampler records: both
-// sides attach a full tracer; one also enables the timeseries plane with a
-// non-positive period, which keeps every producer hook live (TcpConnection,
-// AtmSwitch, FlowDriver all reach TimeseriesSampler::Push) but records no
-// points. Interleaved pairs (MeasureInterleavedOverheadPct).
-OverheadSpread MeasureTimeseriesOverheadPct(int iterations) {
-  return MeasureInterleavedOverheadPct(
-      [&] {
-        Tracer tracer;
-        return MeasureEchoEventRate(iterations, &tracer);
-      },
-      [&] {
-        Tracer tracer;
-        TimeseriesConfig cfg;
-        cfg.period_ns = 0;  // hooks live, sampler records nothing
-        tracer.EnableTimeseries(cfg);
-        return MeasureEchoEventRate(iterations, &tracer);
-      });
-}
-
-// Decodes `blob` and runs the batch CausalGraph + AttributeRtts path on it.
-std::vector<RttWindow> BatchWindows(const std::string& blob, const AttributionOptions& opt,
-                                    bool* decode_ok) {
+// Decodes `blob` and runs CausalGraph + AttributeRtts on it.
+std::vector<RttWindow> DecodedWindows(const std::string& blob, const AttributionOptions& opt,
+                                      bool* decode_ok) {
   Tracer decoded;
   *decode_ok = DecodeBinaryTrace(blob, &decoded);
   if (!*decode_ok) {
@@ -329,34 +247,8 @@ std::vector<RttWindow> BatchWindows(const std::string& blob, const AttributionOp
   return AttributeRtts(decoded, graph, opt).windows;
 }
 
-bool SameWindow(const RttWindow& a, const RttWindow& b) {
-  return a.flow == b.flow && a.client_host == b.client_host &&
-         a.server_host == b.server_host && a.start_ns == b.start_ns && a.end_ns == b.end_ns &&
-         a.stage_ns == b.stage_ns && a.retransmits == b.retransmits &&
-         a.delayed_acks == b.delayed_acks && a.tx_stall_ns == b.tx_stall_ns;
-}
-
-// Order-insensitive window-set equality: the batch path emits (flow, index)
-// order, the streaming path close order; both sorts land on (flow, start).
-bool SameWindows(std::vector<RttWindow> a, std::vector<RttWindow> b) {
-  if (a.size() != b.size()) {
-    return false;
-  }
-  const auto by_flow_start = [](const RttWindow& x, const RttWindow& y) {
-    return x.flow != y.flow ? x.flow < y.flow : x.start_ns < y.start_ns;
-  };
-  std::sort(a.begin(), a.end(), by_flow_start);
-  std::sort(b.begin(), b.end(), by_flow_start);
-  for (size_t i = 0; i < a.size(); ++i) {
-    if (!SameWindow(a[i], b[i])) {
-      return false;
-    }
-  }
-  return true;
-}
-
-// True when every window's stages sum exactly to its RTT (the streaming
-// acceptance criterion: 0 ns span-sum delta).
+// True when every window's stages sum exactly to its RTT (0 ns span-sum
+// delta).
 bool StagesTelescope(const std::vector<RttWindow>& windows) {
   for (const RttWindow& w : windows) {
     int64_t sum = 0;
@@ -435,35 +327,23 @@ int Run(const BenchFlags& flags) {
           "sealed binary stream written to " + flags.bin_out_path);
   }
 
-  // (7) streaming attribution straight off the binary reader == batch.
+  // (7) attribution on the decoded binary stream.
   AttributionOptions small_opt;
   small_opt.message_bytes = small_cell.size;
   small_opt.warmup_windows = small_cell.warmup;
   bool small_decode_ok = false;
-  const std::vector<RttWindow> small_batch =
-      BatchWindows(small_run.blob, small_opt, &small_decode_ok);
+  const std::vector<RttWindow> small_windows =
+      DecodedWindows(small_run.blob, small_opt, &small_decode_ok);
   Check(small_decode_ok, "8-flow cell binary stream decodes cleanly");
-  StreamingAttribution streaming(small_opt);
-  BinaryTraceReader small_reader(small_run.blob);
-  TraceEvent ev;
-  while (small_reader.Next(&ev)) {
-    streaming.OnEvent(ev);
-  }
-  Check(small_reader.ok() && !small_reader.error(), "streaming decode consumed the full stream");
-  Check(small_batch.size() == small_run.samples,
+  Check(small_windows.size() == small_run.samples,
         "every measured round trip of the 8-flow cell is attributed");
-  Check(SameWindows(small_batch, streaming.windows()),
-        "streaming attribution reproduces the batch window set exactly");
-  Check(StagesTelescope(streaming.windows()),
-        "streaming stages telescope to each RTT with 0 ns error");
-  const BlameReport small_blame = BuildBlame(streaming.windows(), 50.0, 99.0);
+  Check(StagesTelescope(small_windows), "stages telescope to each RTT with 0 ns error");
+  const BlameReport small_blame = BuildBlame(small_windows, 50.0, 99.0);
   char line[160];
   std::snprintf(line, sizeof(line), ">=95%% of the p99-p50 gap attributed (%.2f%%)",
                 small_blame.explained_pct);
   Check(small_blame.explained_pct >= 95.0, line);
-  const size_t peak_nodes = streaming.peak_live_journeys();
-  std::printf("streaming graph: %zu peak live journeys (%zu at end of run, %zu windows)\n\n",
-              peak_nodes, streaming.live_journeys(), streaming.windows().size());
+  std::printf("\n");
 
   // (8) flow sampling on the big cell: memory must collapse, blame must
   // not. Same cell, same seed; only the sampler differs.
@@ -487,9 +367,9 @@ int Run(const BenchFlags& flags) {
   big_opt.warmup_windows = big_cell.warmup;
   bool full_decode_ok = false;
   bool sampled_decode_ok = false;
-  const std::vector<RttWindow> full_windows = BatchWindows(full.blob, big_opt, &full_decode_ok);
+  const std::vector<RttWindow> full_windows = DecodedWindows(full.blob, big_opt, &full_decode_ok);
   const std::vector<RttWindow> sampled_windows =
-      BatchWindows(sampled.blob, big_opt, &sampled_decode_ok);
+      DecodedWindows(sampled.blob, big_opt, &sampled_decode_ok);
   Check(full_decode_ok && sampled_decode_ok, "big-cell binary streams decode cleanly");
   Check(StagesTelescope(sampled_windows), "sampled-trace stages still telescope exactly");
   // The flow driver runs warmup + iterations round trips per flow and
@@ -541,16 +421,7 @@ int Run(const BenchFlags& flags) {
   Check(spill_identical, line);
   std::remove(spill_path.c_str());
 
-  // (10) timeseries hook overhead with no sampler recording.
-  const OverheadSpread ts_overhead = MeasureTimeseriesOverheadPct(flags.quick ? 400 : 2000);
-  const double ts_overhead_pct = ts_overhead.median_pct;
-  std::snprintf(line, sizeof(line),
-                "timeseries hooks with recording off cost <= 10%% (median of %d interleaved "
-                "pairs %.2f%%, quartiles %.2f .. %.2f)",
-                kOverheadPairs, ts_overhead_pct, ts_overhead.q1_pct, ts_overhead.q3_pct);
-  Check(ts_overhead_pct <= 10.0, line);
-
-  // (11) default-period plane on the 8-flow cell: points per flow
+  // (10) default-period plane on the 8-flow cell: points per flow
   // is a deterministic simulated quantity the gate holds to a ceiling.
   Tracer ts_tracer;
   ts_tracer.EnableTimeseries(TimeseriesConfig{});
@@ -592,9 +463,6 @@ int Run(const BenchFlags& flags) {
              (roundtrip_identical ? "true" : "false") + ",\n";
   metrics += std::string("  \"binary_jobs_identical\": ") +
              (repeat_identical ? "true" : "false") + ",\n";
-  metrics += std::string("  \"streaming_matches_batch\": ") +
-             (SameWindows(small_batch, streaming.windows()) ? "true" : "false") + ",\n";
-  metrics += "  \"streaming_graph_peak_nodes\": " + std::to_string(peak_nodes) + ",\n";
   metrics += "  \"trace_sampled_flows\": " + std::to_string(sampled.flows_kept) + ",\n";
   std::snprintf(buf, sizeof(buf), "  \"sampled_memory_ratio\": %.2f,\n", memory_ratio);
   metrics += buf;
@@ -602,8 +470,6 @@ int Run(const BenchFlags& flags) {
              (blame_matches ? "true" : "false") + ",\n";
   metrics += std::string("  \"spill_roundtrip_identical\": ") +
              (spill_identical ? "true" : "false") + ",\n";
-  std::snprintf(buf, sizeof(buf), "  \"timeseries_overhead_pct\": %.2f,\n", ts_overhead_pct);
-  metrics += buf;
   std::snprintf(buf, sizeof(buf), "  \"timeseries_points_per_flow\": %.1f\n", points_per_flow);
   metrics += buf;
   metrics += "}\n";

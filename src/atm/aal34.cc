@@ -11,11 +11,18 @@ namespace {
 
 constexpr uint8_t kCpi = 0;
 constexpr uint8_t kAlignment = 0;
+constexpr size_t kMaxCpcsPayloadBytes = 65535;  // 16-bit Length field
+
+// The largest CPCS-PDU ParseCpcsPdu accepts: a full payload padded by up to
+// three bytes inside the envelope. A PDU in reassembly past this size can
+// never parse.
+constexpr size_t kMaxCpcsPduBytes =
+    kCpcsHeaderBytes + kMaxCpcsPayloadBytes + 3 + kCpcsTrailerBytes;
 
 }  // namespace
 
 std::vector<uint8_t> BuildCpcsPdu(std::span<const uint8_t> payload, uint8_t btag) {
-  TCPLAT_CHECK_LE(payload.size(), size_t{65535});
+  TCPLAT_CHECK_LE(payload.size(), kMaxCpcsPayloadBytes);
   const size_t padded = (payload.size() + 3) & ~size_t{3};
   std::vector<uint8_t> pdu(kCpcsHeaderBytes + padded + kCpcsTrailerBytes, 0);
   pdu[0] = kCpi;
@@ -197,7 +204,7 @@ std::optional<std::vector<uint8_t>> SarReassembler::Feed(const AtmCell& cell, bo
     expect_sn_ = static_cast<uint8_t>((cell.sn + 1) & 0xF);
   }
 
-  if (cell.li > kSarPayloadBytes) {
+  if (cell.li > kSarPayloadBytes || buffer_.size() + cell.li > kMaxCpcsPduBytes) {
     ++stats_.protocol_errors;
     AbortPdu();
     return std::nullopt;

@@ -84,7 +84,8 @@ struct SarReassemblerStats {
   uint64_t cells = 0;
   uint64_t crc_errors = 0;
   uint64_t sequence_errors = 0;
-  uint64_t protocol_errors = 0;  // unexpected BOM/COM/EOM state
+  uint64_t protocol_errors = 0;  // unexpected BOM/COM/EOM state, bad LI,
+                                 // or a PDU grown past the CPCS maximum
   uint64_t cpcs_errors = 0;      // tag/length/checksum trouble at CPCS level
   uint64_t pdus_ok = 0;
   uint64_t pdus_dropped = 0;

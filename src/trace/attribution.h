@@ -86,16 +86,6 @@ struct AttributionResult {
 AttributionResult AttributeRtts(const Tracer& tracer, const CausalGraph& graph,
                                 const AttributionOptions& options);
 
-// Fills w->stage_ns and w->tx_stall_ns from the window's two critical
-// journeys (either may be null), the server write-entry anchor
-// (`srv_begin`, -1 when unobserved), and the first sender-side hold
-// (kNagleHold) timestamps on each side (`cli_hold`/`srv_hold`, -1 when no
-// hold was observed — the ACK-wait stage is then zero); w->start_ns/end_ns
-// must already be set. Factored out of AttributeRtts so the batch and
-// streaming reconstructors produce bit-identical decompositions.
-void DecomposeWindow(const Journey* req, const Journey* rsp, int64_t srv_begin,
-                     int64_t cli_hold, int64_t srv_hold, RttWindow* w);
-
 // Stage-by-stage comparison of the p_lo and p_hi round trips (nearest-rank
 // percentile selection over rtt_ns, ties broken by end_ns then flow —
 // identical to LatencyStats::Percentile on the same samples).

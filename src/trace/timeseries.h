@@ -64,7 +64,8 @@ struct TimeseriesPoint {
 struct TimeseriesConfig {
   // Sampling period. At most one non-edge point per track per period.
   // <= 0 disables recording entirely while leaving the producer hooks
-  // live — the configuration the `timeseries_overhead_pct` gate measures.
+  // live — the configuration RoundTripCost.TimeseriesHooksWithRecordingOff
+  // AddNothing (tests/hot_path_alloc_test.cc) pins at zero added cost.
   int64_t period_ns = 1'000'000;
 };
 

@@ -3,6 +3,8 @@
 //  * A traced 1x1 star run decomposes every round trip into stages that
 //    telescope exactly to the RTT, and the percentile picks match
 //    LatencyStats.
+//  * On an 8-flow star every sample is attributed, and the p50/p99 picks sit
+//    within one 40 ns clock tick of the driver's own percentiles.
 //  * Blame reports are byte-identical serial vs 4 workers.
 //  * A 1-in-N flow-sampled trace attributes each kept flow's round trips
 //    exactly as the full trace does.
@@ -23,7 +25,6 @@
 #include "src/trace/binary_trace.h"
 #include "src/trace/causal_graph.h"
 #include "src/trace/latency_stats.h"
-#include "src/trace/stream_attribution.h"
 #include "src/trace/tracer.h"
 #include "src/workload/capacity.h"
 #include "src/workload/interactive.h"
@@ -88,6 +89,18 @@ TEST(Attribution, OneFlowStagesTelescopeAndMatchLatencyStats) {
 
 // --- Blame determinism ----------------------------------------------------
 
+CapacityCell EightFlowCell() {
+  CapacityCell cell;
+  cell.clients = 4;
+  cell.servers = 2;
+  cell.flows = 8;
+  cell.size = 200;
+  cell.iterations = 12;
+  cell.warmup = 4;
+  cell.seed = 1;
+  return cell;
+}
+
 std::string BlameFingerprint(const CapacityCell& cell) {
   Tracer tracer;
   RunCapacityCell(cell, &tracer);
@@ -121,14 +134,7 @@ std::string BlameFingerprint(const CapacityCell& cell) {
 TEST(BlameDeterminism, ReportsByteIdenticalSerialVsParallel) {
   std::vector<CapacityCell> cells;
   for (bool hp : {true, false}) {
-    CapacityCell cell;
-    cell.clients = 4;
-    cell.servers = 2;
-    cell.flows = 8;
-    cell.size = 200;
-    cell.iterations = 12;
-    cell.warmup = 4;
-    cell.seed = 1;
+    CapacityCell cell = EightFlowCell();
     cell.header_prediction = hp;
     cells.push_back(cell);
   }
@@ -154,17 +160,13 @@ TEST(BlameDeterminism, ReportsByteIdenticalSerialVsParallel) {
   }
 }
 
-// Multi-flow: every measured sample must still be attributed, and every
-// window must telescope even when flows share hosts and interleave.
+// Multi-flow: every measured sample must still be attributed, every window
+// must telescope even when flows share hosts and interleave, and the blame
+// report's p50/p99 must agree with the driver's own samples. Each trace RTT
+// is within one 40 ns tick of its driver sample, and a per-sample error of
+// at most one tick moves each order statistic by at most one tick.
 TEST(Attribution, EightFlowWindowsAllTelescope) {
-  CapacityCell cell;
-  cell.clients = 4;
-  cell.servers = 2;
-  cell.flows = 8;
-  cell.size = 200;
-  cell.iterations = 12;
-  cell.warmup = 4;
-  cell.seed = 1;
+  const CapacityCell cell = EightFlowCell();
   Tracer tracer;
   const CapacityOutcome outcome = RunCapacityCell(cell, &tracer);
   const CausalGraph graph = CausalGraph::Build(tracer);
@@ -181,22 +183,12 @@ TEST(Attribution, EightFlowWindowsAllTelescope) {
     EXPECT_EQ(sum, w.rtt_ns());
   }
   const BlameReport blame = BuildBlame(result.windows, 50.0, 99.0);
+  EXPECT_LE(std::abs(blame.lo_rtt_ns - outcome.p50.nanos()), 40);
+  EXPECT_LE(std::abs(blame.hi_rtt_ns - outcome.p99.nanos()), 40);
   EXPECT_GE(blame.explained_pct, 95.0);
 }
 
-// --- Streaming attribution and the binary trace pipeline ------------------
-
-CapacityCell EightFlowCell() {
-  CapacityCell cell;
-  cell.clients = 4;
-  cell.servers = 2;
-  cell.flows = 8;
-  cell.size = 200;
-  cell.iterations = 12;
-  cell.warmup = 4;
-  cell.seed = 1;
-  return cell;
-}
+// --- The binary trace pipeline and flow sampling ------------------------
 
 bool SameWindow(const RttWindow& a, const RttWindow& b) {
   if (a.flow != b.flow || a.client_host != b.client_host || a.server_host != b.server_host ||
@@ -215,92 +207,6 @@ std::vector<RttWindow> SortedWindows(std::vector<RttWindow> windows) {
     return a.flow != b.flow ? a.flow < b.flow : a.start_ns < b.start_ns;
   });
   return windows;
-}
-
-// The streaming reconstruction must produce the exact window set the batch
-// CausalGraph path produces — same boundaries, same stage decomposition to
-// the nanosecond — while holding only in-flight journeys.
-TEST(StreamingAttribution, MatchesBatchOnEightFlowCell) {
-  const CapacityCell cell = EightFlowCell();
-  Tracer tracer;
-  const CapacityOutcome outcome = RunCapacityCell(cell, &tracer);
-
-  AttributionOptions options;
-  options.message_bytes = cell.size;
-  options.warmup_windows = cell.warmup;
-  const CausalGraph graph = CausalGraph::Build(tracer);
-  const AttributionResult batch = AttributeRtts(tracer, graph, options);
-  ASSERT_EQ(batch.windows.size(), outcome.samples);
-
-  StreamingAttribution streaming(options);
-  for (const TraceEvent& ev : tracer.events()) {
-    streaming.OnEvent(ev);
-  }
-  const std::vector<RttWindow> a = SortedWindows(batch.windows);
-  const std::vector<RttWindow> b = SortedWindows(streaming.windows());
-  ASSERT_EQ(a.size(), b.size());
-  for (size_t i = 0; i < a.size(); ++i) {
-    EXPECT_TRUE(SameWindow(a[i], b[i])) << "window " << i << " diverged from batch";
-  }
-  // Memory stays proportional to concurrently open round trips, not to the
-  // trace: 8 closed-loop flows can't hold more than a few journeys each.
-  EXPECT_GT(streaming.peak_live_journeys(), 0u);
-  EXPECT_LE(streaming.peak_live_journeys(), 64u);
-}
-
-// A datagram dropped in flight never sees its kPktRx, so its journey's
-// in-flight pin can only be retired by the window-close prune (anything of
-// the flow transmitted at or before the previous close is lost). Live slots
-// must stay O(in-flight packets) on a lossy stream, not O(total drops).
-TEST(StreamingAttribution, LostDatagramsAreRetiredAtWindowClose) {
-  AttributionOptions options;
-  options.message_bytes = 100;
-  options.warmup_windows = 0;
-  StreamingAttribution streaming(options);
-
-  const uint64_t client_flow = (2000ull << 16) | 80ull;  // client port > server port
-  const uint64_t server_flow = (80ull << 16) | 2000ull;
-  const uint64_t ip_c2s = (1ull << 32) | 2ull;
-  const uint64_t ip_s2c = (2ull << 32) | 1ull;
-  const auto ev = [](TraceEventKind kind, uint8_t host, int64_t ts, uint64_t flow,
-                     uint64_t packet, uint64_t bytes) {
-    TraceEvent e;
-    e.kind = kind;
-    e.host = host;
-    e.ts_ns = ts;
-    e.flow = flow;
-    e.packet = packet;
-    e.bytes = bytes;
-    return e;
-  };
-
-  int64_t t = 0;
-  uint64_t ip_id = 0;
-  constexpr int kWindows = 50;
-  for (int i = 0; i < kWindows; ++i) {
-    // Request: the first copy is lost in flight (no kPktRx, ever), the
-    // second copy delivers and completes the echo round trip.
-    streaming.OnEvent(ev(TraceEventKind::kUserWrite, 0, ++t, client_flow, 0, 100));
-    streaming.OnEvent(ev(TraceEventKind::kSegTx, 0, ++t, client_flow, static_cast<uint64_t>(i), 100));
-    streaming.OnEvent(ev(TraceEventKind::kPktTx, 0, ++t, ip_c2s, ++ip_id, 100));  // lost
-    streaming.OnEvent(ev(TraceEventKind::kSegTx, 0, ++t, client_flow, static_cast<uint64_t>(i), 100));
-    streaming.OnEvent(ev(TraceEventKind::kPktTx, 0, ++t, ip_c2s, ++ip_id, 100));
-    streaming.OnEvent(ev(TraceEventKind::kPktRx, 1, ++t, ip_c2s, ip_id, 100));
-    streaming.OnEvent(ev(TraceEventKind::kSegRx, 1, ++t, server_flow, static_cast<uint64_t>(i), 100));
-    // Response.
-    streaming.OnEvent(ev(TraceEventKind::kUserWrite, 1, ++t, server_flow, 0, 100));
-    streaming.OnEvent(ev(TraceEventKind::kSegTx, 1, ++t, server_flow, static_cast<uint64_t>(i), 100));
-    streaming.OnEvent(ev(TraceEventKind::kPktTx, 1, ++t, ip_s2c, ++ip_id, 100));
-    streaming.OnEvent(ev(TraceEventKind::kPktRx, 0, ++t, ip_s2c, ip_id, 100));
-    streaming.OnEvent(ev(TraceEventKind::kSegRx, 0, ++t, client_flow, static_cast<uint64_t>(i), 100));
-    streaming.OnEvent(ev(TraceEventKind::kUserRead, 0, ++t, client_flow, 0, 100));
-  }
-
-  EXPECT_EQ(streaming.windows().size(), static_cast<size_t>(kWindows));
-  // One datagram is lost per window; all but the most recent must have been
-  // retired. Without the prune, live slots grow by one per window (~50).
-  EXPECT_LE(streaming.live_journeys(), 8u);
-  EXPECT_LE(streaming.peak_live_journeys(), 16u);
 }
 
 // Routing the same run through the binary stream (encode during the run,
@@ -437,34 +343,6 @@ TEST(InteractiveBlame, NodelayCellHasNoAckWaitBlame) {
     EXPECT_EQ(sum, w.rtt_ns());
     EXPECT_EQ(AckWaitNanos(w), 0);
     EXPECT_LT(w.rtt_ns(), 5 * 1'000'000);
-  }
-}
-
-// The streaming consumer must close byte-identical windows on the
-// pathological cell too — the hold-anchor rule is shared code, and this
-// pins it stays that way (the delack cell is the one workload where the
-// anchors actually move).
-TEST(InteractiveBlame, StreamingMatchesBatchOnDelackCell) {
-  InteractiveCell cell;
-  cell.iterations = 12;
-  cell.warmup = 2;
-  Tracer tracer;
-  RunInteractiveCell(cell, &tracer);
-  const AttributionResult batch = AttributeInteractive(cell, tracer);
-  ASSERT_GT(batch.windows.size(), 0u);
-
-  AttributionOptions options;
-  options.message_bytes = 200;
-  options.warmup_windows = cell.warmup;
-  StreamingAttribution streaming(options);
-  for (const TraceEvent& ev : tracer.events()) {
-    streaming.OnEvent(ev);
-  }
-  const std::vector<RttWindow> a = SortedWindows(batch.windows);
-  const std::vector<RttWindow> b = SortedWindows(streaming.windows());
-  ASSERT_EQ(a.size(), b.size());
-  for (size_t i = 0; i < a.size(); ++i) {
-    EXPECT_TRUE(SameWindow(a[i], b[i])) << "window " << i;
   }
 }
 

@@ -10,7 +10,8 @@
 //    the difference between an N- and a 2N-iteration run, so setup and
 //    warm-up cancel out. A change that lowers one edits the constant; one
 //    that raises it fails here;
-//  * attaching a disabled Tracer changes neither count by one.
+//  * attaching a disabled Tracer changes neither count by one, and neither
+//    does enabling the timeseries plane with recording off.
 //
 // Wall-clock rates live in perfbench (python3 perfbench/run.py), which
 // measures them with their spread.
@@ -33,6 +34,7 @@
 #include "src/os/host.h"
 #include "src/sim/event_queue.h"
 #include "src/sim/simulator.h"
+#include "src/trace/timeseries.h"
 #include "src/trace/tracer.h"
 #include "src/workload/capacity.h"
 
@@ -266,6 +268,27 @@ TEST(RoundTripCost, DisabledTracerAddsNoEventsOrAllocations) {
   EXPECT_EQ(tracer.events().size(), 0u);
   EXPECT_EQ(plain.events, 16265u);
   EXPECT_EQ(plain.allocations, 2016u);
+}
+
+// The timeseries hooks cost nothing while no sampler records: both runs
+// attach a recording tracer, and one also enables the timeseries plane with
+// a non-positive period. Every TcpConnection hook on the echo path still
+// reaches TimeseriesSampler::Push, which must return before touching any
+// state: same events, same allocations, same trace, no points.
+TEST(RoundTripCost, TimeseriesHooksWithRecordingOffAddNothing) {
+  EchoCost(1400, kRoundTrips);
+  Tracer plain_tracer;
+  const RunCost plain = EchoCost(1400, kRoundTrips, &plain_tracer);
+  Tracer hooked_tracer;
+  TimeseriesConfig config;
+  config.period_ns = 0;
+  hooked_tracer.EnableTimeseries(config);
+  const RunCost hooked = EchoCost(1400, kRoundTrips, &hooked_tracer);
+  EXPECT_EQ(hooked.events, plain.events);
+  EXPECT_EQ(hooked.allocations, plain.allocations);
+  EXPECT_EQ(hooked_tracer.events().size(), plain_tracer.events().size());
+  ASSERT_NE(hooked_tracer.timeseries(), nullptr);
+  EXPECT_TRUE(hooked_tracer.timeseries()->points().empty());
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 
 #include <cstddef>
 #include <cstring>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
@@ -512,6 +513,51 @@ TEST(HostileBytes, AtmCellsThroughReassembly) {
   }
   EXPECT_GT(intact, 0u);
   EXPECT_GT(sar.stats().crc_errors, 0u);
+}
+
+// A BOM followed by in-sequence COMs, every cell intact, can announce an
+// endless PDU. The reassembler must abort it at the first cell that takes it
+// past the largest CPCS-PDU (65535-byte payload, pad, 8-byte envelope),
+// discard the rest through the EOM, and then reassemble a maximum-size
+// datagram that follows.
+TEST(HostileBytes, OversizedAal34PduIsAbortedAtTheCpcsMaximum) {
+  constexpr size_t kMaxPdu = kCpcsHeaderBytes + 65535 + 3 + kCpcsTrailerBytes;
+  SarReassembler sar;
+  uint8_t sn = 0;
+  AtmCell cell;
+  cell.vci = 42;
+  cell.li = kSarPayloadBytes;
+  cell.payload.fill(0x5A);
+  const auto feed = [&](SegmentType st) {
+    cell.st = st;
+    cell.sn = sn;
+    sn = static_cast<uint8_t>((sn + 1) & 0xF);
+    return sar.Feed(cell, /*crc_ok=*/true);
+  };
+  EXPECT_FALSE(feed(SegmentType::kBom).has_value());
+  for (size_t com = 1; com <= 2000; ++com) {
+    EXPECT_FALSE(feed(SegmentType::kCom).has_value());
+    const bool past_max = (com + 1) * kSarPayloadBytes > kMaxPdu;
+    ASSERT_EQ(sar.stats().protocol_errors, past_max ? 1u : 0u) << "COM " << com;
+  }
+  EXPECT_FALSE(feed(SegmentType::kEom).has_value());
+  EXPECT_EQ(sar.stats().protocol_errors, 1u);
+  EXPECT_EQ(sar.stats().pdus_dropped, 1u);
+  EXPECT_EQ(sar.stats().cpcs_errors, 0u);  // the EOM was discarded unparsed
+  EXPECT_EQ(sar.stats().pdus_ok, 0u);
+
+  Bytes datagram(65535);
+  for (size_t i = 0; i < datagram.size(); ++i) {
+    datagram[i] = static_cast<uint8_t>(i * 31);
+  }
+  std::optional<Bytes> out;
+  for (const AtmCell& next : SegmentCpcsPdu(BuildCpcsPdu(datagram, 7), 42, 0, &sn)) {
+    out = sar.Feed(next, /*crc_ok=*/true);
+  }
+  ASSERT_TRUE(out.has_value());
+  EXPECT_EQ(*out, datagram);
+  EXPECT_EQ(sar.stats().pdus_ok, 1u);
+  EXPECT_EQ(sar.stats().protocol_errors, 1u);
 }
 
 TEST(HostileBytes, CpcsPdu) {
