@@ -126,7 +126,7 @@ void OpenLoopSweep(uint64_t seed, bool quick) {
   PrintGrid("Open-loop Poisson arrivals (rate rises top to bottom)", cells);
 }
 
-// --bin-out: runs one 64-flow cell with the binary tracer attached
+// --bin-out: runs one 64-flow cell with a tracer attached
 // (optionally flow-sampled via --trace-sample-flows) and writes the sealed
 // TLBT stream.
 // The blob is a pure function of the seed, so CI runs this under
@@ -138,7 +138,6 @@ int CaptureBinaryTrace(const BenchFlags& flags) {
   CapacityCell cell = BaseCell(flags.seed, flags.quick);
   cell.flows = flags.flows > 0 ? flags.flows : 64;
   Tracer tracer;
-  tracer.EnableBinaryRecording();
   if (flags.trace_sample_flows > 1) {
     FlowSampleConfig sample;
     sample.one_in = flags.trace_sample_flows;

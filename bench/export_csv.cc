@@ -11,9 +11,8 @@
 //   $ ./export_csv --trace --size 1400 > trace.csv
 //
 // With --trace --from-binary PATH it converts a sealed TLBT binary trace
-// (bench/capacity --bin-out, src/trace/binary_trace.h) to the same CSV,
-// decoding record by record — no intermediate JSON or in-memory event
-// vector, so arbitrarily large captures convert in constant memory.
+// (bench/capacity --bin-out, src/trace/binary_trace.h) to the same CSV: the
+// capture is decoded into a Tracer and exported by the same Tracer::ToCsv.
 //
 //   $ ./export_csv --trace --from-binary capture.tlbt > trace.csv
 //
@@ -122,26 +121,13 @@ int RunTraceFromBinary(const std::string& path) {
   }
   std::fclose(f);
 
-  BinaryTraceReader reader(blob);
-  if (!reader.ok()) {
-    std::fprintf(stderr, "%s: %s\n", path.c_str(), reader.error_message());
+  Tracer decoded;
+  if (!DecodeBinaryTrace(blob, &decoded)) {
+    std::fprintf(stderr, "%s: corrupt or truncated TLBT stream (%" PRIu64 " records decoded)\n",
+                 path.c_str(), decoded.event_count());
     return 1;
   }
-  std::fputs(std::string(TraceCsvHeader()).c_str(), stdout);
-  std::string row;
-  TraceEvent ev;
-  uint64_t decoded = 0;
-  while (reader.Next(&ev)) {
-    row.clear();
-    AppendTraceCsvRow(ev, reader.host_names(), &row);
-    std::fputs(row.c_str(), stdout);
-    ++decoded;
-  }
-  if (reader.error()) {
-    std::fprintf(stderr, "%s: %s (after %" PRIu64 " of %" PRIu64 " records)\n", path.c_str(),
-                 reader.error_message(), decoded, reader.record_count());
-    return 1;
-  }
+  std::fputs(decoded.ToCsv().c_str(), stdout);
   return 0;
 }
 

@@ -14,7 +14,7 @@
 // Part two covers the binary trace pipeline (src/trace/binary_trace.h) and
 // its consumers:
 //
-//   5. recording the same echo into the TLBT stream and decoding it back
+//   5. sealing the same echo's TLBT stream and decoding it back
 //      reproduces the Perfetto JSON byte-for-byte (lossless round trip);
 //   6. on an 8-flow capacity cell, the binary stream is byte-identical
 //      run to run;
@@ -105,7 +105,7 @@ TracedRun RunOnce(size_t size) {
   RunRpcBenchmark(tb, opt);
 
   TracedRun out;
-  out.events = tracer.events().size();
+  out.events = tracer.event_count();
   out.json = tracer.ToPerfettoJson();
 
   // (2) lossless: trace-recovered span sums == tracker totals.
@@ -169,17 +169,15 @@ TracedRun RunOnce(size_t size) {
   return out;
 }
 
-// The same echo recorded straight into the TLBT stream; returns the sealed
-// binary blob. With a non-empty `spill_path` the writer spills sealed
-// `spill_segment`-byte segments to disk mid-run (and `spill_segments_out`
-// reports how many it sealed): the returned blob must be byte-identical
-// either way.
+// The same echo, run again; returns its sealed TLBT stream. With a
+// non-empty `spill_path` the writer spills sealed `spill_segment`-byte
+// segments to disk mid-run (and `spill_segments_out` reports how many it
+// sealed): the returned blob must be byte-identical either way.
 std::string RunOnceBinary(size_t size, const std::string& spill_path = "",
                           size_t spill_segment = 0, uint64_t* spill_segments_out = nullptr) {
   TestbedConfig cfg;
   Testbed tb(cfg);
   Tracer tracer;
-  tracer.EnableBinaryRecording();
   if (!spill_path.empty()) {
     TCPLAT_CHECK(tracer.mutable_binary_records()->EnableSpill(spill_path, spill_segment));
   }
@@ -215,11 +213,10 @@ struct BinaryCellRun {
   uint64_t samples = 0;    // measured round trips
 };
 
-// Runs `cell` with a binary-recording tracer (optionally flow-sampled at
+// Runs `cell` with a tracer attached (optionally flow-sampled at
 // 1-in-`sample_one_in`).
 BinaryCellRun RunBinaryCell(const CapacityCell& cell, uint32_t sample_one_in) {
   Tracer tracer;
-  tracer.EnableBinaryRecording();
   if (sample_one_in > 1) {
     FlowSampleConfig sample;
     sample.one_in = sample_one_in;
@@ -296,8 +293,8 @@ int Run(const BenchFlags& flags) {
   }
   Check(identical, "4-size grid traces are byte-identical serial vs 4-job parallel");
 
-  // (5) binary round trip: encode -> decode -> export equals the legacy
-  // in-memory export byte-for-byte.
+  // (5) seal round trip: seal -> decode -> export equals the live tracer's
+  // export byte-for-byte.
   const std::string echo_blob = RunOnceBinary(1400);
   BinaryTraceReader echo_reader(echo_blob);
   Check(echo_reader.ok(), "sealed binary echo stream parses");

@@ -320,17 +320,15 @@ void HostCounters() {
   Check(views_alias, "registry views alias the live TcpStats counters");
 }
 
-// The Tables-2/3 run again, instrumented. Records through the compact TLBT
-// binary stream (the production capture path), decodes it back, and proves
-// the pipeline is lossless: summing self/interval times per span out of the
-// decoded trace reproduces the aggregate SpanTracker totals. Produces the
-// same Perfetto-loadable JSON file as direct in-memory recording.
+// The Tables-2/3 run again, instrumented. Seals the tracer's TLBT record
+// stream, decodes it back, and proves the pipeline is lossless: summing
+// self/interval times per span out of the decoded trace reproduces the
+// aggregate SpanTracker totals. Writes the decoded trace as Perfetto JSON.
 void TracedRun(const std::string& path) {
   std::printf("\n## Traced run — 1400-byte ATM echo\n\n");
   TestbedConfig cfg;
   Testbed tb(cfg);
   Tracer tracer;
-  tracer.EnableBinaryRecording();
   tb.AttachTracer(&tracer);
   RpcOptions opt;
   opt.size = 1400;
@@ -356,9 +354,9 @@ void TracedRun(const std::string& path) {
   }
   std::printf("%zu events across %zu hosts (%zu-byte binary stream); "
               "trace-vs-tracker span delta %lld ns\n\n",
-              decoded.events().size(), decoded.host_names().size(), blob.size(),
+              static_cast<size_t>(decoded.event_count()), decoded.host_names().size(), blob.size(),
               static_cast<long long>(max_delta));
-  Check(!decoded.events().empty(), "traced run recorded events");
+  Check(decoded.event_count() > 0, "traced run recorded events");
   Check(max_delta <= 1, "per-layer span sums from the trace match tracker totals within 1 ns");
   Check(WriteTextFile(path, decoded.ToPerfettoJson()), "trace written to " + path);
 }

@@ -7,13 +7,24 @@
 namespace tcplat {
 namespace {
 
-// LEB128: 7 payload bits per byte, high bit = continuation.
-void PutVarint(std::string* out, uint64_t v) {
+// Longest encoded record: a 64-bit varint takes at most 10 bytes, and a
+// record is six varints plus the four-byte tag block.
+constexpr size_t kMaxRecordBytes = 6 * 10 + 4;
+
+// LEB128: 7 payload bits per byte, high bit = continuation. Writes at `p`
+// and returns one past the last byte written.
+char* EncodeVarint(char* p, uint64_t v) {
   while (v >= 0x80) {
-    out->push_back(static_cast<char>((v & 0x7f) | 0x80));
+    *p++ = static_cast<char>((v & 0x7f) | 0x80);
     v >>= 7;
   }
-  out->push_back(static_cast<char>(v));
+  *p++ = static_cast<char>(v);
+  return p;
+}
+
+void PutVarint(std::string* out, uint64_t v) {
+  char buf[10];
+  out->append(buf, EncodeVarint(buf, v));
 }
 
 // Zigzag folds sign into bit 0 so small negative deltas stay short.
@@ -24,8 +35,6 @@ uint64_t ZigzagEncode(int64_t v) {
 int64_t ZigzagDecode(uint64_t v) {
   return static_cast<int64_t>(v >> 1) ^ -static_cast<int64_t>(v & 1);
 }
-
-void PutZigzag(std::string* out, int64_t v) { PutVarint(out, ZigzagEncode(v)); }
 
 bool GetVarint(std::string_view data, size_t* pos, uint64_t* out) {
   uint64_t v = 0;
@@ -69,17 +78,27 @@ BinaryTraceWriter::~BinaryTraceWriter() {
 }
 
 void BinaryTraceWriter::Append(const TraceEvent& ev) {
-  PutZigzag(&data_, ev.ts_ns - prev_ts_);
+  // Grow by one worst-case record, encode through a raw pointer, then trim
+  // to the bytes actually written (trimming never reallocates).
+  const size_t start = data_.size();
+  data_.resize(start + kMaxRecordBytes);
+  char* const begin = data_.data() + start;
+  char* p = begin;
+  // The delta wraps as the reader's sum does, so any decoded timestamp
+  // sequence re-encodes without signed overflow.
+  p = EncodeVarint(p, ZigzagEncode(static_cast<int64_t>(static_cast<uint64_t>(ev.ts_ns) -
+                                                        static_cast<uint64_t>(prev_ts_))));
   prev_ts_ = ev.ts_ns;
-  data_.push_back(static_cast<char>(ev.kind));
-  data_.push_back(static_cast<char>(ev.layer));
-  data_.push_back(static_cast<char>(ev.span));
-  data_.push_back(static_cast<char>(ev.host));
-  PutVarint(&data_, ev.flow);
-  PutVarint(&data_, ev.packet);
-  PutVarint(&data_, ev.bytes);
-  PutZigzag(&data_, ev.dur_ns);
-  PutZigzag(&data_, ev.self_ns);
+  *p++ = static_cast<char>(ev.kind);
+  *p++ = static_cast<char>(ev.layer);
+  *p++ = static_cast<char>(ev.span);
+  *p++ = static_cast<char>(ev.host);
+  p = EncodeVarint(p, ev.flow);
+  p = EncodeVarint(p, ev.packet);
+  p = EncodeVarint(p, ev.bytes);
+  p = EncodeVarint(p, ZigzagEncode(ev.dur_ns));
+  p = EncodeVarint(p, ZigzagEncode(ev.self_ns));
+  data_.resize(start + static_cast<size_t>(p - begin));
   ++count_;
   MaybeSpill();
 }
@@ -148,7 +167,7 @@ std::string BinaryTraceWriter::ConsolidatedRecords() const {
 std::string SealBinaryTrace(const std::vector<std::string>& host_names,
                             const BinaryTraceWriter& records) {
   std::string out;
-  out.reserve(32 + records.TotalBytes());
+  out.reserve(32 + records.spilled_bytes() + records.SizeBytes());
   out.append(kBinaryTraceMagic, sizeof(kBinaryTraceMagic));
   out.push_back(static_cast<char>(kBinaryTraceVersion & 0xff));
   out.push_back(static_cast<char>(kBinaryTraceVersion >> 8));
@@ -279,6 +298,10 @@ bool BinaryTraceReader::Next(TraceEvent* ev) {
 }
 
 bool DecodeBinaryTrace(std::string_view blob, Tracer* out) {
+  // Decoded records keep their raw host ids, which index the stream's own
+  // host table: a pre-registered host would shift every name.
+  TCPLAT_CHECK(out->host_names().empty() && out->event_count() == 0)
+      << "DecodeBinaryTrace needs an empty Tracer";
   BinaryTraceReader reader(blob);
   if (!reader.ok()) return false;
   for (const std::string& name : reader.host_names()) {

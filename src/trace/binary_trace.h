@@ -1,11 +1,10 @@
 // Compact binary trace format (the "TLBT" stream).
 //
-// The Perfetto-JSON text tracer costs ~90 bytes per event and a 64-byte
-// in-memory struct; neither survives the roadmap's 10^5-flow fabrics at
-// millions of events per second. This module defines a compact append-only
-// record stream that a Tracer encodes into directly, plus a streaming
-// reader, so the existing Perfetto/CSV exporters and the
-// causal-graph/attribution consumers are a lossless round trip away.
+// A Perfetto-JSON event costs ~90 bytes and a decoded TraceEvent 64; this
+// compact append-only record stream averages about 13. It is the one place
+// a Tracer records: every view (Tracer::events(), the Perfetto/CSV
+// exporters, span totals, the causal graph and attribution) decodes it, and
+// a sealed stream is a file that DecodeBinaryTrace loads back losslessly.
 //
 // Stream layout (all integers little-endian):
 //
@@ -50,7 +49,7 @@ inline constexpr char kBinaryTraceMagic[4] = {'T', 'L', 'B', 'T'};
 inline constexpr uint16_t kBinaryTraceVersion = 1;
 
 // Append-only encoder for the record section (no header). One lives inside
-// each recording Tracer; the full stream is assembled by SealBinaryTrace.
+// each Tracer; the full stream is assembled by SealBinaryTrace.
 //
 // Mid-run disk spill: EnableSpill bounds the resident buffer. Whenever the
 // buffer reaches the segment threshold, the full segment is appended to the
@@ -88,8 +87,6 @@ class BinaryTraceWriter {
   // is identical across platforms/allocators and can be gated exactly.
   // Spilled bytes are deliberately excluded: they no longer occupy memory.
   size_t SizeBytes() const { return data_.size(); }
-  // Total encoded bytes, spilled + resident.
-  size_t TotalBytes() const { return spilled_bytes_ + data_.size(); }
 
  private:
   void MaybeSpill();
@@ -123,7 +120,6 @@ class BinaryRecordCursor {
 
   bool error() const { return error_ != nullptr; }
   const char* error_message() const { return error_ == nullptr ? "" : error_; }
-  uint64_t remaining() const { return remaining_; }
 
  private:
   std::string_view data_;
@@ -157,11 +153,11 @@ class BinaryTraceReader {
   BinaryRecordCursor cursor_{std::string_view(), 0};
 };
 
-// Decodes a full sealed stream back into `out` (which must be an empty,
-// full-recording Tracer): registers the host table and appends every
-// record, making the legacy exporters (ToPerfettoJson/ToCsv) and the batch
-// causal-graph path available for binary captures. Returns false on a
-// corrupt or truncated stream.
+// Decodes a full sealed stream back into `out`, which must have no
+// registered host and no record (CHECKed): registers the host table and
+// appends every record, so the exporters (ToPerfettoJson/ToCsv) and the
+// causal-graph path run on a saved capture. Returns false on a corrupt or
+// truncated stream; the records before the fault stay appended.
 bool DecodeBinaryTrace(std::string_view blob, Tracer* out);
 
 }  // namespace tcplat

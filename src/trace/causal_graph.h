@@ -73,7 +73,7 @@ inline uint64_t CanonicalFlow(uint64_t raw_flow) {
 
 class CausalGraph {
  public:
-  // Single pass over tracer.events(); decode a binary-mode capture with
+  // Single pass over tracer.events(); load a sealed capture with
   // DecodeBinaryTrace first.
   static CausalGraph Build(const Tracer& tracer);
 

@@ -79,7 +79,7 @@ void TimeseriesSampler::Clear() {
 }
 
 size_t TimeseriesSampler::ApproxMemoryBytes() const {
-  return points_.capacity() * sizeof(TimeseriesPoint) +
+  return points_.size() * sizeof(TimeseriesPoint) +
          tracks_.size() * (sizeof(uint64_t) + sizeof(TrackState) + 2 * sizeof(void*));
 }
 

@@ -88,6 +88,8 @@ class TimeseriesSampler {
 
   const std::vector<TimeseriesPoint>& points() const { return points_; }
   void Clear();
+  // By content, like Tracer::ApproxMemoryBytes: the points held, plus each
+  // track's key, state and two hash-node pointers; no allocator capacity.
   size_t ApproxMemoryBytes() const;
 
  private:

@@ -170,6 +170,26 @@ void AppendProcessMetadata(std::string* out, const std::vector<std::string>& hos
   }
 }
 
+constexpr std::string_view kTraceCsvHeader =
+    "ts_ns,host,layer,kind,span,dur_ns,self_ns,flow,packet,bytes\n";
+
+void AppendTraceCsvRow(const TraceEvent& ev, const std::vector<std::string>& host_names,
+                       std::string* out) {
+  char buf[256];
+  const bool is_span = ev.kind == TraceEventKind::kSpanBegin ||
+                       ev.kind == TraceEventKind::kSpanEnd ||
+                       ev.kind == TraceEventKind::kSpanInterval;
+  std::snprintf(buf, sizeof(buf),
+                "%" PRId64 ",%s,%s,%s,%s,%" PRId64 ",%" PRId64 ",%" PRIu64 ",%" PRIu64
+                ",%" PRIu64 "\n",
+                ev.ts_ns, ev.host < host_names.size() ? host_names[ev.host].c_str() : "?",
+                std::string(TraceLayerName(ev.layer)).c_str(),
+                std::string(TraceEventKindName(ev.kind)).c_str(),
+                is_span ? std::string(SpanName(ev.span)).c_str() : "",
+                ev.dur_ns, ev.self_ns, ev.flow, ev.packet, ev.bytes);
+  *out += buf;
+}
+
 }  // namespace
 
 std::string_view TraceLayerName(TraceLayer layer) {
@@ -182,7 +202,7 @@ std::string_view TraceEventKindName(TraceEventKind kind) {
   return i < kKindNames.size() ? kKindNames[i] : "?";
 }
 
-Tracer::Tracer() = default;
+Tracer::Tracer() : binary_(std::make_unique<BinaryTraceWriter>()) {}
 Tracer::~Tracer() = default;
 
 uint8_t Tracer::RegisterHost(std::string name) {
@@ -191,27 +211,8 @@ uint8_t Tracer::RegisterHost(std::string name) {
   return static_cast<uint8_t>(host_names_.size() - 1);
 }
 
-void Tracer::EnableBinaryRecording() {
-  if (binary_ != nullptr) {
-    return;
-  }
-  TCPLAT_CHECK(events_.empty()) << "binary recording must be enabled before recording starts";
-  binary_ = std::make_unique<BinaryTraceWriter>();
-}
-
-const BinaryTraceWriter& Tracer::binary_records() const {
-  TCPLAT_CHECK(binary_ != nullptr) << "tracer is not in binary recording mode";
-  return *binary_;
-}
-
-BinaryTraceWriter* Tracer::mutable_binary_records() {
-  TCPLAT_CHECK(binary_ != nullptr) << "tracer is not in binary recording mode";
-  return binary_.get();
-}
-
 void Tracer::EnableFlowSampling(const FlowSampleConfig& config) {
-  TCPLAT_CHECK(events_.empty() && (binary_ == nullptr || binary_->count() == 0))
-      << "flow sampling must be enabled before recording starts";
+  TCPLAT_CHECK(binary_->count() == 0) << "flow sampling must be enabled before recording starts";
   TCPLAT_CHECK_GE(config.one_in, 1u);
   sampling_ = true;
   sample_ = config;
@@ -235,10 +236,7 @@ std::string Tracer::TimelineCsv() const {
 }
 
 size_t Tracer::ApproxMemoryBytes() const {
-  size_t bytes = events_.size() * sizeof(TraceEvent) + deferred_events_ * sizeof(TraceEvent);
-  if (binary_ != nullptr) {
-    bytes += binary_->SizeBytes();
-  }
+  size_t bytes = binary_->SizeBytes() + deferred_events_ * sizeof(TraceEvent);
   if (timeseries_ != nullptr) {
     bytes += timeseries_->ApproxMemoryBytes();
   }
@@ -252,10 +250,7 @@ size_t Tracer::peak_memory_bytes() const {
 void Tracer::NotePeak() { peak_bytes_ = std::max(peak_bytes_, ApproxMemoryBytes()); }
 
 void Tracer::Clear() {
-  events_.clear();
-  if (binary_ != nullptr) {
-    binary_->Clear();
-  }
+  binary_->Clear();
   sample_hosts_.clear();
   deferred_events_ = 0;
   flows_seen_.clear();
@@ -266,13 +261,23 @@ void Tracer::Clear() {
   peak_bytes_ = 0;
 }
 
-void Tracer::Emit(const TraceEvent& ev) {
-  if (binary_ != nullptr) {
+void Tracer::Append(const TraceEvent& ev) {
+  if (enabled_) {
     binary_->Append(ev);
-  } else {
-    events_.push_back(ev);
   }
 }
+
+std::vector<TraceEvent> Tracer::events() const {
+  const std::string records = binary_->ConsolidatedRecords();
+  BinaryRecordCursor cursor(records, binary_->count());
+  std::vector<TraceEvent> out(binary_->count());
+  for (TraceEvent& ev : out) {
+    TCPLAT_CHECK(cursor.Next(&ev)) << "own record stream: " << cursor.error_message();
+  }
+  return out;
+}
+
+uint64_t Tracer::event_count() const { return binary_->count(); }
 
 bool Tracer::KeepFlow(uint64_t raw_flow) {
   const uint64_t canonical = CanonicalFlow(raw_flow);
@@ -293,16 +298,16 @@ void Tracer::ResolveDeferred(size_t host, bool keep) {
   NotePeak();  // the buffered events are about to drain; record them first
   for (const TraceEvent& deferred : st.deferred) {
     if (keep) {
-      Emit(deferred);
+      binary_->Append(deferred);
     }
   }
   deferred_events_ -= st.deferred.size();
   st.deferred.clear();
 }
 
-void Tracer::CommitSlow(const TraceEvent& ev) {
+void Tracer::Commit(const TraceEvent& ev) {
   if (!sampling_) {
-    Emit(ev);
+    binary_->Append(ev);
     return;
   }
 
@@ -323,7 +328,7 @@ void Tracer::CommitSlow(const TraceEvent& ev) {
     // stays exact and drop diagnostics stay complete. kDequeue/kPduRx/
     // kFrameRx also start a receive chain: the verdict resets to undecided.
     case TraceEventKind::kDequeue:
-      Emit(ev);
+      binary_->Append(ev);
       if (ev.layer == TraceLayer::kIp) {
         ResolveDeferred(ev.host, false);
         st.keep = -1;
@@ -331,7 +336,7 @@ void Tracer::CommitSlow(const TraceEvent& ev) {
       return;
     case TraceEventKind::kPduRx:
     case TraceEventKind::kFrameRx:
-      Emit(ev);
+      binary_->Append(ev);
       ResolveDeferred(ev.host, false);
       st.keep = -1;
       return;
@@ -344,7 +349,7 @@ void Tracer::CommitSlow(const TraceEvent& ev) {
     case TraceEventKind::kImpairDrop:
     case TraceEventKind::kImpairDup:
     case TraceEventKind::kImpairDelay:
-      Emit(ev);
+      binary_->Append(ev);
       return;
 
     // Per-cell switch hops identify host pairs (VCI), not flows, and no
@@ -370,7 +375,7 @@ void Tracer::CommitSlow(const TraceEvent& ev) {
         st.keep = keep ? 1 : 0;
         ResolveDeferred(ev.host, keep);
         if (keep) {
-          Emit(ev);
+          binary_->Append(ev);
         }
         return;
       }
@@ -381,7 +386,7 @@ void Tracer::CommitSlow(const TraceEvent& ev) {
         st.keep = keep ? 1 : 0;
         ResolveDeferred(ev.host, keep);
         if (keep) {
-          Emit(ev);
+          binary_->Append(ev);
         }
         return;
       }
@@ -403,7 +408,7 @@ void Tracer::CommitSlow(const TraceEvent& ev) {
 
   // Chain-follow events ride the current verdict; undecided chains buffer.
   if (st.keep == 1) {
-    Emit(ev);
+    binary_->Append(ev);
   } else if (st.keep == -1) {
     if (st.deferred.size() >= kMaxDeferredPerHost) {
       st.deferred.pop_front();
@@ -417,7 +422,7 @@ void Tracer::CommitSlow(const TraceEvent& ev) {
 std::array<int64_t, static_cast<size_t>(SpanId::kCount)> Tracer::SpanSelfTotalsNanos(
     uint8_t host) const {
   std::array<int64_t, static_cast<size_t>(SpanId::kCount)> totals{};
-  for (const TraceEvent& ev : events_) {
+  for (const TraceEvent& ev : events()) {
     if (ev.host != host) {
       continue;
     }
@@ -439,19 +444,20 @@ std::array<int64_t, static_cast<size_t>(SpanId::kCount)> Tracer::SpanSelfTotalsN
 }
 
 std::string Tracer::ToPerfettoJson() const {
+  const std::vector<TraceEvent> events = this->events();
   std::string out;
-  out.reserve(128 + events_.size() * 96);
+  out.reserve(128 + events.size() * 96);
   out += "{\"displayTimeUnit\":\"ns\",\"traceEvents\":[\n";
   bool first = true;
   char buf[256];
   AppendProcessMetadata(&out, host_names_, &first);
 
   // Per-flow tracks for the congestion-era kinds: tids allocated per host in
-  // first-appearance order (deterministic — events_ is already in canonical
+  // first-appearance order (deterministic — the stream is already in canonical
   // order), named after the flow's port pair.
   std::map<std::pair<uint8_t, uint64_t>, int> flow_tids;
   std::vector<int> next_tid(host_names_.size(), kTidFlowBase);
-  for (const TraceEvent& ev : events_) {
+  for (const TraceEvent& ev : events) {
     if (!IsFlowTrackKind(ev.kind) || ev.flow == 0 || ev.host >= next_tid.size()) {
       continue;
     }
@@ -469,7 +475,7 @@ std::string Tracer::ToPerfettoJson() const {
     }
   }
 
-  for (const TraceEvent& ev : events_) {
+  for (const TraceEvent& ev : events) {
     if (!first) out += ",\n";
     first = false;
     int tid = kTidPackets;
@@ -529,31 +535,11 @@ std::string Tracer::ToPerfettoJson() const {
   return out;
 }
 
-std::string_view TraceCsvHeader() {
-  return "ts_ns,host,layer,kind,span,dur_ns,self_ns,flow,packet,bytes\n";
-}
-
-void AppendTraceCsvRow(const TraceEvent& ev, const std::vector<std::string>& host_names,
-                       std::string* out) {
-  char buf[256];
-  const bool is_span = ev.kind == TraceEventKind::kSpanBegin ||
-                       ev.kind == TraceEventKind::kSpanEnd ||
-                       ev.kind == TraceEventKind::kSpanInterval;
-  std::snprintf(buf, sizeof(buf),
-                "%" PRId64 ",%s,%s,%s,%s,%" PRId64 ",%" PRId64 ",%" PRIu64 ",%" PRIu64
-                ",%" PRIu64 "\n",
-                ev.ts_ns, ev.host < host_names.size() ? host_names[ev.host].c_str() : "?",
-                std::string(TraceLayerName(ev.layer)).c_str(),
-                std::string(TraceEventKindName(ev.kind)).c_str(),
-                is_span ? std::string(SpanName(ev.span)).c_str() : "",
-                ev.dur_ns, ev.self_ns, ev.flow, ev.packet, ev.bytes);
-  *out += buf;
-}
-
 std::string Tracer::ToCsv() const {
-  std::string out(TraceCsvHeader());
-  out.reserve(out.size() + events_.size() * 64);
-  for (const TraceEvent& ev : events_) {
+  const std::vector<TraceEvent> events = this->events();
+  std::string out(kTraceCsvHeader);
+  out.reserve(out.size() + events.size() * 64);
+  for (const TraceEvent& ev : events) {
     AppendTraceCsvRow(ev, host_names_, &out);
   }
   return out;

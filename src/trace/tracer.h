@@ -23,10 +23,10 @@
 //    trace reproduce the tracker's totals to the nanosecond.
 //
 // One recording pipeline: every hook funnels into Commit, which passes the
-// event through at most one optional 1-in-N flow sampler and then into one
-// sink — the in-memory events() vector, or a TLBT byte stream (see
-// src/trace/binary_trace.h) that can spill sealed segments to disk. The
-// sampler works with either sink.
+// event through at most one optional 1-in-N flow sampler and then into the
+// one record store — a TLBT byte stream (see src/trace/binary_trace.h) that
+// can spill sealed segments to disk. Every view (events(), the exporters,
+// span totals, the causal graph and attribution) decodes that stream.
 //
 // Exporters: Chrome/Perfetto trace_event JSON (load at ui.perfetto.dev or
 // chrome://tracing) and a flat CSV, one row per event.
@@ -120,15 +120,6 @@ enum class TraceEventKind : uint8_t {
 std::string_view TraceLayerName(TraceLayer layer);
 std::string_view TraceEventKindName(TraceEventKind kind);
 
-struct TraceEvent;
-
-// The flat-CSV export schema, shared by Tracer::ToCsv and the streaming
-// binary-trace exporter (bench/export_csv --from-binary) so both emit
-// byte-identical rows. Header includes the trailing newline.
-std::string_view TraceCsvHeader();
-void AppendTraceCsvRow(const TraceEvent& ev, const std::vector<std::string>& host_names,
-                       std::string* out);
-
 struct TraceEvent {
   int64_t ts_ns = 0;    // simulated timestamp
   int64_t dur_ns = 0;   // kSpanInterval / kTxStall
@@ -219,10 +210,7 @@ class Tracer {
 
   // Commits an already-built event, bypassing the flow sampler. Used by the
   // binary decoder to rebuild a recorded stream.
-  void Append(const TraceEvent& ev) {
-    if (!enabled_) return;
-    Emit(ev);
-  }
+  void Append(const TraceEvent& ev);
 
   // ---- Time-series telemetry plane (src/trace/timeseries.h) -------------
   //
@@ -232,7 +220,6 @@ class Tracer {
   // cost is one extra null test here.
 
   void EnableTimeseries(const TimeseriesConfig& config);
-  bool timeseries_enabled() const { return timeseries_ != nullptr; }
   TimeseriesSampler* timeseries() { return timeseries_.get(); }
   const TimeseriesSampler* timeseries() const { return timeseries_.get(); }
 
@@ -253,21 +240,20 @@ class Tracer {
   // Long-format timeline CSV over the finalized points.
   std::string TimelineCsv() const;
 
-  const std::vector<TraceEvent>& events() const { return events_; }
+  // The recorded events, decoded from the record stream (spilled segments
+  // included) into a fresh vector.
+  std::vector<TraceEvent> events() const;
+  uint64_t event_count() const;
   const std::vector<std::string>& host_names() const { return host_names_; }
 
-  // ---- Binary recording --------------------------------------------------
+  // ---- Record stream -----------------------------------------------------
   //
   // Events encode straight into a compact append-only byte stream (see
-  // src/trace/binary_trace.h) instead of the events() vector; exporters and
-  // the causal-graph consumers reach the events by decoding the stream.
-  // Must be selected before anything is recorded.
+  // src/trace/binary_trace.h); seal it with SealBinaryTrace, or enable
+  // spill on it before recording starts.
 
-  void EnableBinaryRecording();
-  bool binary_recording() const { return binary_ != nullptr; }
-  // The raw record stream (CHECKs binary mode).
-  const BinaryTraceWriter& binary_records() const;
-  BinaryTraceWriter* mutable_binary_records();
+  const BinaryTraceWriter& binary_records() const { return *binary_; }
+  BinaryTraceWriter* mutable_binary_records() { return binary_.get(); }
 
   // ---- Flow sampling -----------------------------------------------------
   //
@@ -293,16 +279,17 @@ class Tracer {
 
   // ---- Memory accounting -------------------------------------------------
   //
-  // Recording-buffer footprint by content (event payload bytes held right
-  // now), deliberately excluding allocator capacity so the number is
-  // identical across platforms and can be gated. peak additionally covers
-  // transient sampler buffering.
+  // Recording-buffer footprint by content (resident record-stream bytes,
+  // events the sampler holds and timeseries content), deliberately
+  // excluding allocator capacity so the number is identical across
+  // platforms and can be gated. peak additionally covers transient sampler
+  // buffering.
 
   size_t ApproxMemoryBytes() const;
   size_t peak_memory_bytes() const;
 
-  // Drops recorded events (full-trace, binary and sampler state);
-  // registered hosts and the recording mode are kept.
+  // Drops recorded events (record stream and sampler state); registered
+  // hosts and the sampling mode are kept.
   void Clear();
 
   // Per-span self-time sums for `host`, in nanoseconds, counting only events
@@ -320,27 +307,16 @@ class Tracer {
   std::string ToCsv() const;
 
  private:
-  // Every Record* method funnels here so the sampler / binary encoder can
-  // divert the stream without touching the hook sites. The plain
-  // full-recording path stays a single branch + push_back.
-  void Commit(const TraceEvent& ev) {
-    if (!sampling_ && binary_ == nullptr) {
-      events_.push_back(ev);
-      return;
-    }
-    CommitSlow(ev);
-  }
-  void CommitSlow(const TraceEvent& ev);
-  // Writes `ev` to the active sink (events() / binary stream), after any
-  // sampling verdict has been applied.
-  void Emit(const TraceEvent& ev);
+  // Every Record* method funnels here, so the flow sampler can divert the
+  // stream without touching the hook sites; unsampled, it is one branch and
+  // one record encode.
+  void Commit(const TraceEvent& ev);
 
   bool KeepFlow(uint64_t raw_flow);
   void ResolveDeferred(size_t host, bool keep);
   void NotePeak();
 
   bool enabled_ = true;
-  std::vector<TraceEvent> events_;
   std::vector<std::string> host_names_;
 
   std::unique_ptr<BinaryTraceWriter> binary_;
@@ -361,7 +337,6 @@ class Tracer {
   std::unique_ptr<TimeseriesSampler> timeseries_;
 
   size_t peak_bytes_ = 0;
-
 };
 
 // Writes `contents` to `path`; returns false (after perror) on failure.

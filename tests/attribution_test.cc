@@ -209,33 +209,31 @@ std::vector<RttWindow> SortedWindows(std::vector<RttWindow> windows) {
   return windows;
 }
 
-// Routing the same run through the binary stream (encode during the run,
-// decode post hoc) must leave the attribution result untouched.
+// Sealing the run's record stream and decoding it into a fresh tracer (the
+// offline path for a saved capture) must leave the attribution result
+// untouched.
 TEST(Attribution, BinaryRoundTripPreservesWindows) {
   const CapacityCell cell = EightFlowCell();
   AttributionOptions options;
   options.message_bytes = cell.size;
   options.warmup_windows = cell.warmup;
 
-  Tracer vector_mode;
-  RunCapacityCell(cell, &vector_mode);
-  const CausalGraph vector_graph = CausalGraph::Build(vector_mode);
-  const AttributionResult from_vector = AttributeRtts(vector_mode, vector_graph, options);
+  Tracer live;
+  RunCapacityCell(cell, &live);
+  const CausalGraph live_graph = CausalGraph::Build(live);
+  const AttributionResult from_live = AttributeRtts(live, live_graph, options);
 
-  Tracer binary_mode;
-  binary_mode.EnableBinaryRecording();
-  RunCapacityCell(cell, &binary_mode);
-  EXPECT_TRUE(binary_mode.events().empty());
-  const std::string blob = SealBinaryTrace(binary_mode.host_names(), binary_mode.binary_records());
+  const std::string blob = SealBinaryTrace(live.host_names(), live.binary_records());
   Tracer decoded;
   ASSERT_TRUE(DecodeBinaryTrace(blob, &decoded));
-  ASSERT_EQ(decoded.events().size(), vector_mode.events().size());
+  ASSERT_EQ(decoded.event_count(), live.event_count());
   const CausalGraph decoded_graph = CausalGraph::Build(decoded);
-  const AttributionResult from_binary = AttributeRtts(decoded, decoded_graph, options);
+  const AttributionResult from_sealed = AttributeRtts(decoded, decoded_graph, options);
 
-  ASSERT_EQ(from_binary.windows.size(), from_vector.windows.size());
-  for (size_t i = 0; i < from_vector.windows.size(); ++i) {
-    EXPECT_TRUE(SameWindow(from_vector.windows[i], from_binary.windows[i])) << "window " << i;
+  ASSERT_FALSE(from_live.windows.empty());
+  ASSERT_EQ(from_sealed.windows.size(), from_live.windows.size());
+  for (size_t i = 0; i < from_live.windows.size(); ++i) {
+    EXPECT_TRUE(SameWindow(from_live.windows[i], from_sealed.windows[i])) << "window " << i;
   }
 }
 

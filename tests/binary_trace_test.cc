@@ -92,9 +92,10 @@ TEST(BinaryTrace, DecodeIntoTracerMatchesOriginal) {
   Tracer decoded;
   ASSERT_TRUE(DecodeBinaryTrace(SealCorpus(events), &decoded));
   EXPECT_EQ(decoded.host_names(), kHosts);
-  ASSERT_EQ(decoded.events().size(), events.size());
+  const std::vector<TraceEvent> decoded_events = decoded.events();
+  ASSERT_EQ(decoded_events.size(), events.size());
   for (size_t i = 0; i < events.size(); ++i) {
-    EXPECT_TRUE(Same(decoded.events()[i], events[i])) << "event " << i;
+    EXPECT_TRUE(Same(decoded_events[i], events[i])) << "event " << i;
   }
 }
 
@@ -182,9 +183,10 @@ TEST(BinaryTrace, HostileTimestampDeltasWrap) {
   }
   Tracer out;
   ASSERT_TRUE(DecodeBinaryTrace(bad, &out));
-  ASSERT_EQ(out.events().size(), 2u);
-  EXPECT_EQ(out.events()[0].ts_ns, INT64_MAX);
-  EXPECT_EQ(out.events()[1].ts_ns, -2);  // 2 * INT64_MAX wraps to -2
+  const std::vector<TraceEvent> decoded = out.events();
+  ASSERT_EQ(decoded.size(), 2u);
+  EXPECT_EQ(decoded[0].ts_ns, INT64_MAX);
+  EXPECT_EQ(decoded[1].ts_ns, -2);  // 2 * INT64_MAX wraps to -2
 }
 
 TEST(BinaryTrace, WriterClearResetsDeltaState) {

@@ -265,7 +265,7 @@ TEST(RoundTripCost, DisabledTracerAddsNoEventsOrAllocations) {
   const RunCost traced = EchoCost(1400, kRoundTrips, &tracer);
   EXPECT_EQ(traced.events, plain.events);
   EXPECT_EQ(traced.allocations, plain.allocations);
-  EXPECT_EQ(tracer.events().size(), 0u);
+  EXPECT_EQ(tracer.event_count(), 0u);
   EXPECT_EQ(plain.events, 16265u);
   EXPECT_EQ(plain.allocations, 2016u);
 }
@@ -286,7 +286,7 @@ TEST(RoundTripCost, TimeseriesHooksWithRecordingOffAddNothing) {
   const RunCost hooked = EchoCost(1400, kRoundTrips, &hooked_tracer);
   EXPECT_EQ(hooked.events, plain.events);
   EXPECT_EQ(hooked.allocations, plain.allocations);
-  EXPECT_EQ(hooked_tracer.events().size(), plain_tracer.events().size());
+  EXPECT_EQ(hooked_tracer.event_count(), plain_tracer.event_count());
   ASSERT_NE(hooked_tracer.timeseries(), nullptr);
   EXPECT_TRUE(hooked_tracer.timeseries()->points().empty());
 }

@@ -38,7 +38,7 @@ TracedEcho RunTracedEcho(size_t size, int iterations = 30) {
   opt.iterations = iterations;
   opt.warmup = 8;
   RunRpcBenchmark(tb, opt);
-  return TracedEcho{tracer.ToPerfettoJson(), tracer.ToCsv(), tracer.events().size()};
+  return TracedEcho{tracer.ToPerfettoJson(), tracer.ToCsv(), tracer.event_count()};
 }
 
 // Value of the registered metric `name`; fails the test when absent.
@@ -62,7 +62,7 @@ TEST(Observability, TracedRunRecordsEveryLayer) {
   opt.iterations = 20;
   RunRpcBenchmark(tb, opt);
 
-  ASSERT_FALSE(tracer.events().empty());
+  ASSERT_GT(tracer.event_count(), 0u);
   bool kinds[64] = {};
   for (const TraceEvent& ev : tracer.events()) {
     kinds[static_cast<int>(ev.kind)] = true;
@@ -134,7 +134,7 @@ TEST(Observability, DetachedTracerRecordsNothing) {
   opt.size = 4;
   opt.iterations = 5;
   RunRpcBenchmark(tb, opt);
-  EXPECT_TRUE(tracer.events().empty());
+  EXPECT_EQ(tracer.event_count(), 0u);
 }
 
 TEST(Observability, MetricsViewsFollowTheRun) {

@@ -579,7 +579,6 @@ TEST(HostileBytes, CpcsPdu) {
 TEST(HostileBytes, BinaryTrace) {
   // A real capture: a short traced echo, sealed as a TLBT stream.
   Tracer tracer;
-  tracer.EnableBinaryRecording();
   {
     Testbed tb{TestbedConfig{}};
     tb.AttachTracer(&tracer);
@@ -604,10 +603,10 @@ TEST(HostileBytes, BinaryTrace) {
     // A record takes at least ten bytes (a one-byte delta, four tag bytes
     // and five one-byte varints), so no stream decodes into more records
     // than that allows.
-    EXPECT_LE(out.events().size() * 10, in.size());
+    EXPECT_LE(out.event_count() * 10, in.size());
     if (ok) {
       BinaryTraceReader reader(blob);
-      EXPECT_EQ(out.events().size(), reader.record_count());
+      EXPECT_EQ(out.event_count(), reader.record_count());
     }
   });
 }

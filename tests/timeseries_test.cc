@@ -152,6 +152,20 @@ TEST(Timeseries, LossEdgePairsCarryExactPeakAndDeflatedWindow) {
   EXPECT_GT(pairs, 0) << "no loss enter/exit pairs in a lossy cell";
 }
 
+// Memory is counted by content, so the figure is the same on every
+// platform: three points on three tracks cost three points plus three
+// tracks (key, 24-byte state, two hash-node pointers), whatever capacity
+// the point vector grew to.
+TEST(Timeseries, ApproxMemoryBytesCountsContentNotCapacity) {
+  TimeseriesSampler sampler(TimeseriesConfig{});
+  for (uint64_t key = 1; key <= 3; ++key) {
+    sampler.Push(0, TsMetric::kTcpCwnd, key, SimTime::FromNanos(0), 1460);
+  }
+  ASSERT_EQ(sampler.points().size(), 3u);
+  constexpr size_t kTrackBytes = sizeof(uint64_t) + 24 + 2 * sizeof(void*);
+  EXPECT_EQ(sampler.ApproxMemoryBytes(), 3 * sizeof(TimeseriesPoint) + 3 * kTrackBytes);
+}
+
 CapacityCell SmallCapacityCell() {
   CapacityCell cell;
   cell.flows = 8;
@@ -170,7 +184,6 @@ TEST(Timeseries, SpilledBinaryTraceMatchesResidentByteForByte) {
   const CapacityCell cell = SmallCapacityCell();
 
   Tracer resident;
-  resident.EnableBinaryRecording();
   RunCapacityCell(cell, &resident);
   const std::string resident_blob =
       SealBinaryTrace(resident.host_names(), resident.binary_records());
@@ -178,7 +191,6 @@ TEST(Timeseries, SpilledBinaryTraceMatchesResidentByteForByte) {
   const std::string spill_path =
       testing::TempDir() + "/timeseries_test_spill.tlbt";
   Tracer spilled;
-  spilled.EnableBinaryRecording();
   ASSERT_TRUE(spilled.mutable_binary_records()->EnableSpill(spill_path,
                                                             8 * 1024));
   RunCapacityCell(cell, &spilled);
@@ -186,10 +198,19 @@ TEST(Timeseries, SpilledBinaryTraceMatchesResidentByteForByte) {
       << "segment size too large to exercise mid-run spilling";
   const std::string spilled_blob =
       SealBinaryTrace(spilled.host_names(), spilled.binary_records());
+  // events() decodes the spilled segments too, so every view of the
+  // spilling tracer matches the resident one.
+  const std::string spilled_csv = spilled.ToCsv();
+  const uint64_t spilled_count = spilled.event_count();
+  const size_t spilled_decoded = spilled.events().size();
   std::remove(spill_path.c_str());
 
   ASSERT_FALSE(resident_blob.empty());
   EXPECT_EQ(resident_blob, spilled_blob);
+  EXPECT_EQ(spilled_csv, resident.ToCsv());
+  EXPECT_EQ(spilled_count, resident.event_count());
+  EXPECT_EQ(spilled_decoded, resident.events().size());
+  EXPECT_EQ(spilled_decoded, spilled_count);
 }
 
 }  // namespace

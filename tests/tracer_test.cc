@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <string>
+#include <vector>
 
 #include "src/sim/time.h"
 #include "src/trace/binary_trace.h"
@@ -27,8 +28,10 @@ TEST(Tracer, RecordsPacketEvents) {
   Tracer t;
   const uint8_t h = t.RegisterHost("h");
   t.RecordPacket(h, TraceLayer::kTcp, TraceEventKind::kSegTx, At(100), 0x50001389, 1, 1400);
-  ASSERT_EQ(t.events().size(), 1u);
-  const TraceEvent& ev = t.events()[0];
+  const std::vector<TraceEvent> events = t.events();
+  ASSERT_EQ(events.size(), 1u);
+  EXPECT_EQ(t.event_count(), 1u);
+  const TraceEvent& ev = events[0];
   EXPECT_EQ(ev.ts_ns, 100);
   EXPECT_EQ(ev.layer, TraceLayer::kTcp);
   EXPECT_EQ(ev.kind, TraceEventKind::kSegTx);
@@ -138,49 +141,54 @@ TEST(Tracer, EveryLayerAndKindHasAUniqueNonEmptyName) {
   }
 }
 
-// The sink (full log or binary stream) and the sampler are configured
-// before recording starts: a tracer that silently split its stream between
-// sinks would corrupt both. Violations are programming errors and die
-// loudly.
+// The sampler is configured before recording starts: a stream that
+// switched to sampling midway would mix full and sampled chains. Violations
+// are programming errors and die loudly.
 TEST(TracerModeExclusion, ModeChangesAfterRecordingStartsDie) {
   Tracer t;
   const uint8_t h = t.RegisterHost("h");
   t.RecordPacket(h, TraceLayer::kTcp, TraceEventKind::kSegTx, At(1), 1, 1, 100);
-  EXPECT_DEATH(t.EnableBinaryRecording(), "before recording starts");
   EXPECT_DEATH(t.EnableFlowSampling(FlowSampleConfig{}), "before recording starts");
 }
 
-TEST(TracerModeExclusion, BinaryAccessorsRequireBinaryMode) {
-  Tracer t;
-  EXPECT_DEATH(t.binary_records(), "not in binary recording mode");
+// Decoded records keep the stream's host ids, so decoding into a tracer
+// that already has a host (or a record) would misname every event.
+TEST(TracerModeExclusion, DecodeIntoNonEmptyTracerDies) {
+  Tracer source;
+  const uint8_t h = source.RegisterHost("client");
+  source.RecordPacket(h, TraceLayer::kTcp, TraceEventKind::kSegTx, At(1), 1, 1, 100);
+  const std::string blob = SealBinaryTrace(source.host_names(), source.binary_records());
+
+  Tracer with_host;
+  with_host.RegisterHost("server");
+  EXPECT_DEATH(DecodeBinaryTrace(blob, &with_host), "needs an empty Tracer");
+
+  Tracer with_record;
+  with_record.RecordSpanReset(0, At(0));
+  EXPECT_DEATH(DecodeBinaryTrace(blob, &with_record), "needs an empty Tracer");
 }
 
-// Record the same event sequence into a full-log tracer and a
-// binary-recording twin; sealing, decoding, and exporting the twin must
-// reproduce the legacy exporters byte for byte.
-TEST(TracerBinary, RoundTripMatchesLegacyExporters) {
-  Tracer plain;
-  Tracer binary;
-  binary.EnableBinaryRecording();
-  for (Tracer* t : {&plain, &binary}) {
-    const uint8_t c = t->RegisterHost("client");
-    const uint8_t s = t->RegisterHost("server");
-    t->RecordSpanReset(c, At(0));
-    t->RecordSpanBegin(c, SpanId::kTxUser, At(100));
-    t->RecordPacket(c, TraceLayer::kTcp, TraceEventKind::kSegTx, At(150), 0x50001389, 1, 1400);
-    t->RecordSpanEnd(c, SpanId::kTxUser, At(200), SimDuration::FromNanos(80));
-    t->RecordPacket(s, TraceLayer::kAtm, TraceEventKind::kPduRx, At(400), 5, 30, 9180);
-    t->RecordSpanInterval(s, SpanId::kRxIpq, At(500), SimDuration::FromNanos(58));
-  }
-  EXPECT_TRUE(binary.events().empty());  // diverted to the binary stream
-  EXPECT_EQ(binary.binary_records().count(), plain.events().size());
+// Sealing a tracer's record stream and decoding it into a fresh tracer must
+// reproduce every export byte for byte.
+TEST(TracerBinary, SealDecodeRoundTripReproducesExports) {
+  Tracer t;
+  const uint8_t c = t.RegisterHost("client");
+  const uint8_t s = t.RegisterHost("server");
+  t.RecordSpanReset(c, At(0));
+  t.RecordSpanBegin(c, SpanId::kTxUser, At(100));
+  t.RecordPacket(c, TraceLayer::kTcp, TraceEventKind::kSegTx, At(150), 0x50001389, 1, 1400);
+  t.RecordSpanEnd(c, SpanId::kTxUser, At(200), SimDuration::FromNanos(80));
+  t.RecordPacket(s, TraceLayer::kAtm, TraceEventKind::kPduRx, At(400), 5, 30, 9180);
+  t.RecordSpanInterval(s, SpanId::kRxIpq, At(500), SimDuration::FromNanos(58));
+  EXPECT_EQ(t.event_count(), 6u);
 
-  const std::string blob = SealBinaryTrace(binary.host_names(), binary.binary_records());
+  const std::string blob = SealBinaryTrace(t.host_names(), t.binary_records());
   Tracer decoded;
   ASSERT_TRUE(DecodeBinaryTrace(blob, &decoded));
-  EXPECT_EQ(decoded.ToPerfettoJson(), plain.ToPerfettoJson());
-  EXPECT_EQ(decoded.ToCsv(), plain.ToCsv());
-  EXPECT_EQ(decoded.SpanSelfTotalsNanos(0), plain.SpanSelfTotalsNanos(0));
+  EXPECT_EQ(decoded.event_count(), t.event_count());
+  EXPECT_EQ(decoded.ToPerfettoJson(), t.ToPerfettoJson());
+  EXPECT_EQ(decoded.ToCsv(), t.ToCsv());
+  EXPECT_EQ(decoded.SpanSelfTotalsNanos(0), t.SpanSelfTotalsNanos(0));
 }
 
 // Flow sampling is a pure function of (canonical flow id, seed): two
@@ -214,7 +222,7 @@ TEST(TracerSampling, VerdictIsDeterministicAndDirectionSymmetric) {
   // the same connections.
   EXPECT_EQ(rev.flows_kept(), a.flows_kept());
   // The event log only holds kept flows' events.
-  EXPECT_EQ(a.events().size(), a.flows_kept().size());
+  EXPECT_EQ(a.event_count(), a.flows_kept().size());
 
   Tracer other_seed;
   FlowSampleConfig reseeded = config;
